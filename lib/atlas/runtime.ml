@@ -19,8 +19,8 @@ type ctx = {
   tid : int;
   mutable depth : int;
   mutable current : ocs_info option;
-  logged : Intset.t;  (* word addresses already logged in the open OCS *)
-  dirtied : Intset.t;  (* line addresses; Log_flush commits *)
+  logged : Nvm.Intset.t;  (* word addresses already logged in the open OCS *)
+  dirtied : Nvm.Intset.t;  (* line addresses; Log_flush commits *)
   segments : int Queue.t;  (* unpruned OCS ids of this thread, oldest first *)
 }
 
@@ -61,8 +61,8 @@ let create ?(costs = default_costs) ?(first_seq = 1) ?(checkpoint_every = 32)
       tid;
       depth = 0;
       current = None;
-      logged = Intset.create ~capacity:64 ();
-      dirtied = Intset.create ~capacity:64 ();
+      logged = Nvm.Intset.create ~capacity:64 ();
+      dirtied = Nvm.Intset.create ~capacity:64 ();
       segments = Queue.create ();
     }
   in
@@ -269,7 +269,7 @@ let commit t ctx =
         (* Eager durability: the section's data reaches the persistence
            domain before its commit record, so a committed-by-the-log OCS
            is never partially durable. *)
-        Intset.iter (fun line -> Nvm.Pmem.flush (pmem t) line) ctx.dirtied;
+        Nvm.Intset.iter (fun line -> Nvm.Pmem.flush (pmem t) line) ctx.dirtied;
         Nvm.Pmem.fence (pmem t)
       end;
       let commit_seq = t.next_seq in
@@ -277,20 +277,20 @@ let commit t ctx =
       trace t ~code:Obs.Event.ocs_commit ~a:cur.id ~b:commit_seq;
       cur.committed <- true;
       ctx.current <- None;
-      Intset.clear ctx.logged;
+      Nvm.Intset.clear ctx.logged;
       if Mode.deferred_durability t.mode then begin
         (* Data durability is deferred to the next durability point; the
            section stays unpruned (it may still be rolled back). *)
-        Intset.iter
+        Nvm.Intset.iter
           (fun line -> Hashtbl.replace t.pending_lines line ())
           ctx.dirtied;
-        Intset.clear ctx.dirtied;
+        Nvm.Intset.clear ctx.dirtied;
         Queue.add (commit_seq, cur.id) t.pending;
         t.commits_since_checkpoint <- t.commits_since_checkpoint + 1;
         if t.commits_since_checkpoint >= t.checkpoint_every then checkpoint t
       end
       else begin
-        Intset.clear ctx.dirtied;
+        Nvm.Intset.clear ctx.dirtied;
         try_stabilize t cur.id
       end
 
@@ -327,16 +327,16 @@ let store t ctx addr v =
           invalid_arg
             "Atlas.store: persistent store outside any critical section"
       | Some _ ->
-          (* [Intset.add] answers membership and inserts in one probe
+          (* [Nvm.Intset.add] answers membership and inserts in one probe
              walk; marking before the load/append is safe because [ctx]
              is thread-local and a crash discards it entirely. *)
-          if Intset.add ctx.logged addr then begin
+          if Nvm.Intset.add ctx.logged addr then begin
             let old = Nvm.Pmem.load (pmem t) addr in
             ignore (append t ctx (Log_entry.Update { addr; old }) : int)
           end;
           Nvm.Pmem.store (pmem t) addr v;
           if Mode.flushes t.mode then
-            ignore (Intset.add ctx.dirtied (line_addr t addr) : bool)
+            ignore (Nvm.Intset.add ctx.dirtied (line_addr t addr) : bool)
     end
 
 let load t addr = Nvm.Pmem.load (pmem t) addr

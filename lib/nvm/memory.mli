@@ -6,12 +6,43 @@
     updated when a line is written back — by cache eviction, by an explicit
     flush, or by a TSP crash-time rescue.  After a crash, recovery swaps
     the durable image in as the new current image; anything that never
-    reached [durable] is gone. *)
+    reached [durable] is gone.
+
+    {2 Representation}
+
+    Each image is an array of 64 KiB chunks, one slot per chunk, so a
+    64 MiB region has 1024 slots per image.  Every slot starts out
+    pointing at one shared, read-only zero chunk; a slot gets its own
+    storage on the first store, write-back, bit flip or blit into it, and
+    stays owned until {!discard_current} or {!promote_all} copies a zero
+    slot over it.  The chunk for byte [addr] is [addr lsr 16] and the
+    offset inside it [addr land 0xFFFF]; an aligned word never straddles
+    two chunks.  A region therefore costs host memory and time in
+    proportion to what a run touches, not to [size].  The simulated
+    behaviour is exactly that of two flat zero-filled byte arrays.
+
+    {2 Costs}
+
+    - {!load}, {!load_int}, {!load_durable}: one fused bounds/alignment
+      check, then a shift, a mask and a slot load before the raw read.
+    - {!store}, {!store_int}, {!cas_int}, {!write_back_word},
+      {!flip_durable_bit}: as a load, plus one physical-equality test
+      against the zero chunk; the first write into a slot allocates and
+      zero-fills its 64 KiB chunk.
+    - {!write_back}, {!blit_string}: O([len]) plus the same first-write
+      allocation per slot they reach.
+    - {!discard_current}, {!promote_all}, {!diff_lines}: O(touched
+      chunks) plus a scan of the slot array (1024 entries for 64 MiB).
+      Slots that are zero in both images are skipped.
+    - {!create}: allocates the two slot arrays only.
+    - {!durable_snapshot}: O([size]), since it materialises the whole
+      image; tests only. *)
 
 type t
 
 val create : size:int -> t
-(** Fresh, zero-filled region; [size] in bytes. *)
+(** Fresh, zero-filled region; [size] in bytes.  No chunk is allocated
+    until something is written. *)
 
 val size : t -> int
 
@@ -47,7 +78,8 @@ val load_durable : t -> int -> int64
 
 val write_back : t -> line_addr:int -> len:int -> unit
 (** Copy [len] bytes at [line_addr] from current to durable: the effect of
-    a cache-line write-back. *)
+    a cache-line write-back.  Raises [Invalid_argument] if the range is
+    not inside the region. *)
 
 val write_back_word : t -> int -> unit
 (** Copy one aligned 8-byte word from current to durable: the unit of a
@@ -71,7 +103,8 @@ val promote_all : t -> unit
 val blit_string : t -> int -> string -> unit
 (** Raw initialisation helper: write [string] bytes into both images at
     once (used when formatting a fresh heap, which is by definition
-    durable). *)
+    durable).  Raises [Invalid_argument] if the string does not fit at
+    [addr]. *)
 
 val diff_lines : t -> line_size:int -> int list
 (** Byte offsets of the lines whose current and durable contents differ,
@@ -82,5 +115,5 @@ val diff_lines : t -> line_size:int -> int list
     offset (it is never silently skipped). *)
 
 val durable_snapshot : t -> string
-(** A copy of the entire durable image, for bit-exact comparisons in
-    determinism tests. *)
+(** A copy of the entire durable image, [size] bytes long, for bit-exact
+    comparisons in determinism tests.  O([size]) whatever was touched. *)

@@ -8,14 +8,16 @@
      step.
    - allocation: a long store/load/cas loop through the [_int] device
      operations must not allocate on the minor heap, measured with
-     [Gc.minor_words].
+     [Gc.minor_words]; and a whole create/store/crash/recover cycle on a
+     64 MiB region must cost major-heap words in proportion to what it
+     touches, not to the region size.
 
-   Plus direct unit tests for [Atlas.Intset], the open-addressed set
-   behind the runtime's per-store bookkeeping. *)
+   Plus direct unit tests for [Nvm.Intset], the open-addressed set
+   behind the Atlas runtime's per-store bookkeeping. *)
 
 open Helpers
 module Cache = Nvm.Cache
-module Intset = Atlas.Intset
+module Intset = Nvm.Intset
 
 (* --- SoA cache vs the reference model --- *)
 
@@ -142,6 +144,40 @@ let test_zero_alloc_loop () =
     true
     (words < 100.)
 
+(* One crash run on the default 64 MiB desktop region touches a few
+   hundred lines.  Device set-up, the crash image and recovery must
+   allocate in proportion to that, not to the region: under 1 MiB of
+   major-heap words in all (a flat pair of images costs 128 MiB).
+   Blocks allocated straight into the major heap reach [major_words]
+   only when the runtime next folds its per-domain count, which a minor
+   collection does; one before each reading makes the delta exact. *)
+let test_run_cost_independent_of_region () =
+  let major_words () =
+    Gc.minor ();
+    (Gc.quick_stat ()).Gc.major_words
+  in
+  let before = major_words () in
+  let p = Pmem.create Config.desktop in
+  for i = 0 to 299 do
+    Pmem.store_int p (i * 64) i
+  done;
+  ignore
+    (Pmem.crash_with p ~fault:Nvm.Fault_model.Full_discard
+       ~rng:(fun _ -> 0)
+       ()
+      : Pmem.crash_damage);
+  Pmem.recover p;
+  let mib =
+    (major_words () -. before)
+    *. float_of_int (Sys.word_size / 8)
+    /. 1048576.
+  in
+  Alcotest.(check int) "region size" (64 * 1024 * 1024)
+    Config.desktop.Config.region_size;
+  Alcotest.(check bool)
+    (Printf.sprintf "major-heap allocation %.2f MiB < 1 MiB" mib)
+    true (mib < 1.)
+
 (* The boxed A/B path exists precisely to allocate like the historical
    implementation: sanity-check that it still does, so the benchmark's
    comparison stays meaningful. *)
@@ -255,4 +291,6 @@ let suite =
       case "intset: add/mem/clear" test_intset_basics;
       case "intset: growth keeps members and order" test_intset_growth_and_order;
       prop_intset_matches_hashtbl;
+      case "crash run cost does not scale with region size"
+        test_run_cost_independent_of_region;
     ] )

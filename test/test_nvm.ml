@@ -107,6 +107,255 @@ let test_memory_blit_string () =
   Alcotest.check int64 "current" 1L (Memory.load m 64);
   Alcotest.check int64 "durable too" 1L (Memory.load_durable m 64)
 
+(* --- Memory against a flat reference model ---
+
+   [Memory] keeps each image as chunks that are shared and zero until
+   first written.  The reference here is the obvious representation —
+   two flat byte arrays — and seeded random op sequences must leave both
+   agreeing on every loaded word, the durable snapshot and [diff_lines]
+   after every op.  Addresses are drawn to land near the 64 KiB chunk
+   boundary and the end of the region as often as anywhere else. *)
+
+module Flat = struct
+  type t = { current : Bytes.t; durable : Bytes.t }
+
+  let create size =
+    { current = Bytes.make size '\000'; durable = Bytes.make size '\000' }
+  let size t = Bytes.length t.current
+
+  let cas t addr ~expected ~desired =
+    if Int64.equal (Bytes.get_int64_le t.current addr) (Int64.of_int expected)
+    then begin
+      Bytes.set_int64_le t.current addr (Int64.of_int desired);
+      true
+    end
+    else false
+
+  let flip t addr bit =
+    let v = Bytes.get_int64_le t.durable addr in
+    Bytes.set_int64_le t.durable addr (Int64.logxor v (Int64.shift_left 1L bit))
+
+  let diff_lines t ~line_size =
+    let n = size t in
+    List.filter
+      (fun off ->
+        let len = min line_size (n - off) in
+        not
+          (Bytes.equal (Bytes.sub t.current off len)
+             (Bytes.sub t.durable off len)))
+      (List.init ((n + line_size - 1) / line_size) (fun k -> k * line_size))
+end
+
+type mem_op =
+  | Store of int * int64
+  | Store_int of int * int
+  | Cas of int * int * int
+  | Write_back of int * int
+  | Write_back_word of int
+  | Flip of int * int
+  | Discard
+  | Promote
+  | Blit of int * string
+
+let pp_mem_op = function
+  | Store (a, v) -> Printf.sprintf "store %d %Lx" a v
+  | Store_int (a, v) -> Printf.sprintf "store_int %d %d" a v
+  | Cas (a, e, d) -> Printf.sprintf "cas_int %d %d %d" a e d
+  | Write_back (a, n) -> Printf.sprintf "write_back %d %d" a n
+  | Write_back_word a -> Printf.sprintf "write_back_word %d" a
+  | Flip (a, b) -> Printf.sprintf "flip %d %d" a b
+  | Discard -> "discard_current"
+  | Promote -> "promote_all"
+  | Blit (a, s) ->
+      Printf.sprintf "blit_string %d (%d bytes)" a (String.length s)
+
+(* A random op over a region of [size] bytes.  Values include words whose
+   top two bits disagree (01 or 10), which no [int] sign-extends to, so
+   [cas_int] with [expected = Int64.to_int current] must fail on them. *)
+let random_mem_op st ~size (flat : Flat.t) =
+  let byte_addr () =
+    let pick =
+      match Random.State.int st 3 with
+      | 0 -> Random.State.int st size
+      | 1 -> 65536 - 128 + Random.State.int st 256
+      | _ -> size - 1 - Random.State.int st (min size 128)
+    in
+    max 0 (min (size - 1) pick)
+  in
+  let word_addr () = min (byte_addr () land lnot 7) ((size / 8 * 8) - 8) in
+  let word () =
+    let v = Random.State.bits64 st in
+    match Random.State.int st 4 with
+    | 0 -> Int64.logand v 0x3FFF_FFFF_FFFF_FFFFL (* top bits 00 *)
+    | 1 -> Int64.logor v 0xC000_0000_0000_0000L (* top bits 11 *)
+    | 2 ->
+        Int64.logxor
+          (Int64.logand v 0x7FFF_FFFF_FFFF_FFFFL)
+          0x4000_0000_0000_0000L (* top bits 01 *)
+    | _ -> v
+  in
+  match Random.State.int st 20 with
+  | 0 | 1 | 2 | 3 -> Store (word_addr (), word ())
+  | 4 | 5 | 6 -> Store_int (word_addr (), Int64.to_int (word ()))
+  | 7 | 8 ->
+      let a = word_addr () in
+      let cur = Int64.to_int (Bytes.get_int64_le flat.Flat.current a) in
+      let expected = if Random.State.bool st then cur else cur + 1 in
+      Cas (a, expected, Int64.to_int (word ()))
+  | 9 | 10 | 11 ->
+      let a = byte_addr () in
+      Write_back (a, Random.State.int st (min 200 (size - a) + 1))
+  | 12 | 13 -> Write_back_word (word_addr ())
+  | 14 -> Flip (word_addr (), Random.State.int st 64)
+  | 15 -> Discard
+  | 16 -> Promote
+  | _ ->
+      let a = byte_addr () in
+      let n = Random.State.int st (min 200 (size - a) + 1) in
+      Blit (a, String.init n (fun _ -> Char.chr (Random.State.int st 256)))
+
+let apply_mem_op m (flat : Flat.t) = function
+  | Store (a, v) ->
+      Memory.store m a v;
+      Bytes.set_int64_le flat.current a v
+  | Store_int (a, v) ->
+      Memory.store_int m a v;
+      Bytes.set_int64_le flat.current a (Int64.of_int v)
+  | Cas (a, expected, desired) ->
+      let got = Memory.cas_int m a ~expected ~desired in
+      let want = Flat.cas flat a ~expected ~desired in
+      if got <> want then
+        Alcotest.failf "cas_int %d: got %b, model %b" a got want
+  | Write_back (a, n) ->
+      Memory.write_back m ~line_addr:a ~len:n;
+      Bytes.blit flat.current a flat.durable a n
+  | Write_back_word a ->
+      Memory.write_back_word m a;
+      Bytes.blit flat.current a flat.durable a 8
+  | Flip (a, bit) ->
+      Memory.flip_durable_bit m ~addr:a ~bit;
+      Flat.flip flat a bit
+  | Discard ->
+      Memory.discard_current m;
+      Bytes.blit flat.durable 0 flat.current 0 (Flat.size flat)
+  | Promote ->
+      Memory.promote_all m;
+      Bytes.blit flat.current 0 flat.durable 0 (Flat.size flat)
+  | Blit (a, s) ->
+      Memory.blit_string m a s;
+      Bytes.blit_string s 0 flat.current a (String.length s);
+      Bytes.blit_string s 0 flat.durable a (String.length s)
+
+let check_against_model ~what m (flat : Flat.t) =
+  let size = Flat.size flat in
+  let a = ref 0 in
+  while !a + 8 <= size do
+    let want = Bytes.get_int64_le flat.current !a in
+    if not (Int64.equal (Memory.load m !a) want) then
+      Alcotest.failf "%s: load %d = %Lx, model %Lx" what !a (Memory.load m !a)
+        want;
+    if Memory.load_int m !a <> Int64.to_int want then
+      Alcotest.failf "%s: load_int %d diverged" what !a;
+    let want_d = Bytes.get_int64_le flat.durable !a in
+    if not (Int64.equal (Memory.load_durable m !a) want_d) then
+      Alcotest.failf "%s: load_durable %d = %Lx, model %Lx" what !a
+        (Memory.load_durable m !a) want_d;
+    a := !a + 8
+  done;
+  if
+    not
+      (String.equal (Memory.durable_snapshot m)
+         (Bytes.to_string flat.durable))
+  then Alcotest.failf "%s: durable_snapshot diverged" what;
+  (* 24-byte lines do not divide the chunk size, so some straddle the
+     chunk boundary. *)
+  List.iter
+    (fun line_size ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "%s: diff_lines ~line_size:%d" what line_size)
+        (Flat.diff_lines flat ~line_size)
+        (Memory.diff_lines m ~line_size))
+    [ 64; 24 ]
+
+let test_memory_matches_flat_model () =
+  List.iter
+    (fun size ->
+      for seed = 1 to 4 do
+        let st = Random.State.make [| size; seed |] in
+        let m = Memory.create ~size and flat = Flat.create size in
+        check_against_model ~what:"fresh" m flat;
+        for step = 1 to 150 do
+          let op = random_mem_op st ~size flat in
+          apply_mem_op m flat op;
+          check_against_model
+            ~what:
+              (Printf.sprintf "size %d seed %d step %d (%s)" size seed step
+                 (pp_mem_op op))
+            m flat
+        done
+      done)
+    [ 104; 65536; 65536 + 64 ]
+
+(* Untouched chunks all start out as one shared zero chunk: a store into
+   one must not show up in another untouched chunk, in the durable image,
+   or in a different region, until a write-back moves it. *)
+let test_memory_untouched_chunks_do_not_alias () =
+  let chunk = 65536 in
+  let m = Memory.create ~size:(3 * chunk) in
+  let other = Memory.create ~size:(3 * chunk) in
+  Memory.store m (chunk + 64) 42L;
+  Alcotest.check int64 "stored" 42L (Memory.load m (chunk + 64));
+  Alcotest.check int64 "chunk 0 untouched" 0L (Memory.load m 64);
+  Alcotest.check int64 "chunk 2 untouched" 0L
+    (Memory.load m ((2 * chunk) + 64));
+  Alcotest.check int64 "durable untouched" 0L
+    (Memory.load_durable m (chunk + 64));
+  Alcotest.check int64 "durable chunk 0" 0L (Memory.load_durable m 64);
+  Alcotest.check int64 "other region" 0L (Memory.load other (chunk + 64));
+  Alcotest.check int64 "other region, chunk 0" 0L (Memory.load other 64);
+  Alcotest.(check (list int)) "one dirty line" [ chunk + 64 ]
+    (Memory.diff_lines m ~line_size:64);
+  Memory.flip_durable_bit m ~addr:((2 * chunk) + 64) ~bit:0;
+  Alcotest.check int64 "flip in durable" 1L
+    (Memory.load_durable m ((2 * chunk) + 64));
+  Alcotest.check int64 "flip not in current" 0L
+    (Memory.load m ((2 * chunk) + 64));
+  Alcotest.check int64 "flip not in chunk 0" 0L (Memory.load_durable m 64);
+  Alcotest.check int64 "flip not in other region" 0L
+    (Memory.load_durable other ((2 * chunk) + 64));
+  (* Writing back a line whose current chunk is still the zero chunk
+     copies zeros over the flipped durable word. *)
+  Memory.flip_durable_bit m ~addr:((2 * chunk) + 128) ~bit:5;
+  Memory.write_back m ~line_addr:((2 * chunk) + 128) ~len:64;
+  Alcotest.check int64 "write-back of an untouched line clears the flip" 0L
+    (Memory.load_durable m ((2 * chunk) + 128));
+  Memory.write_back m ~line_addr:(chunk + 64) ~len:64;
+  Alcotest.check int64 "written back" 42L (Memory.load_durable m (chunk + 64));
+  Alcotest.check int64 "durable chunk 0 still zero" 0L
+    (Memory.load_durable m 64);
+  Memory.discard_current m;
+  Alcotest.check int64 "flip installed" 1L (Memory.load m ((2 * chunk) + 64));
+  Alcotest.check int64 "chunk 0 still zero" 0L (Memory.load m 64);
+  Alcotest.(check bool) "other region all zero" true
+    (String.for_all (Char.equal '\000') (Memory.durable_snapshot other))
+
+let test_memory_range_validation () =
+  let m = Memory.create ~size:104 in
+  check_raises_invalid "write_back past end" (fun () ->
+      Memory.write_back m ~line_addr:64 ~len:64);
+  check_raises_invalid "write_back negative" (fun () ->
+      Memory.write_back m ~line_addr:(-8) ~len:8);
+  check_raises_invalid "blit_string past end" (fun () ->
+      Memory.blit_string m 100 "12345");
+  check_raises_invalid "flip past end" (fun () ->
+      Memory.flip_durable_bit m ~addr:104 ~bit:0);
+  check_raises_invalid "flip bit" (fun () ->
+      Memory.flip_durable_bit m ~addr:0 ~bit:64);
+  Memory.write_back m ~line_addr:64 ~len:40;
+  Memory.blit_string m 99 "12345";
+  Alcotest.(check int) "snapshot is the full region" 104
+    (String.length (Memory.durable_snapshot m))
+
 (* --- Cache --- *)
 
 let make_cache ?(sets = 2) ?(ways = 2) () =
@@ -629,4 +878,9 @@ let suite =
       case "cost model conversions" test_cost_model;
       prop_rescue_preserves_everything;
       prop_discard_is_per_word_prefix;
+      case "memory: chunked images match a flat reference model"
+        test_memory_matches_flat_model;
+      case "memory: untouched chunks do not alias"
+        test_memory_untouched_chunks_do_not_alias;
+      case "memory: range validation" test_memory_range_validation;
     ] )
