@@ -1,6 +1,6 @@
-(* Checker for the quick-bench snapshots.
+(* Checker for the quick-bench snapshots and campaign artifacts.
 
-   Two modes, both dependency-free (a minimal RFC 8259 recursive-descent
+   Four modes, all dependency-free (a minimal RFC 8259 recursive-descent
    parser; numbers are kept as their raw source tokens so comparisons
    are byte-exact, never float-mediated):
 
@@ -8,14 +8,20 @@
        parse FILE and fail loudly if it is malformed.
 
      check_json --sim-cycles-chain F1 F2 ... Fn
-       parse every file and demand, for each file against
-       every file before it in the order given (oldest snapshot first),
-       that every "sim_cycles" value under a cell or A/B entry whose
-       name appears in BOTH files is byte-identical.  Host timings and
-       allocation counts may differ between snapshots — simulated cycles
+       parse every file and demand, for each file against every file
+       before it in the order given (oldest snapshot first), that every
+       "sim_cycles" entry (a named cell or A/B entry) the earlier file
+       carries is present in the later one with a byte-identical value.
+       Allocation counts may differ between snapshots — simulated cycles
        may not: they are the deterministic reproduction output, and a
-       perf PR that shifts one has changed the simulation, not just sped
-       it up. *)
+       change that shifts or drops one has changed the witness, not
+       just the code's speed.
+
+     check_json FILE --schema tsp-manifest-v1|tsp-results-v1
+       structural validation of a campaign artifact.
+
+     check_json FILE --identical REF
+       raw-byte comparison (the replay contract). *)
 
 type json =
   | Obj of (string * json) list
@@ -209,39 +215,39 @@ let sim_cycles_of section v =
   | _ -> []
 
 let cross_check ~file ~ref_file v ref_v =
-  let shared = ref 0 and mismatches = ref [] in
+  let shared = ref 0 and missing = ref [] and mismatches = ref [] in
   List.iter
     (fun section ->
       let ours = sim_cycles_of section v in
-      let theirs = sim_cycles_of section ref_v in
       List.iter
-        (fun (name, raw) ->
-          match List.assoc_opt name theirs with
-          | None -> ()
-          | Some ref_raw ->
+        (fun (name, ref_raw) ->
+          match List.assoc_opt name ours with
+          | None -> missing := Printf.sprintf "%s/%s" section name :: !missing
+          | Some raw ->
               incr shared;
               if not (String.equal raw ref_raw) then
                 mismatches :=
                   Printf.sprintf "%s/%s: %s (was %s in %s)" section name raw
                     ref_raw ref_file
                   :: !mismatches)
-        ours)
+        (sim_cycles_of section ref_v))
     [ "cells"; "ab" ];
+  let report what = function
+    | [] -> ()
+    | items ->
+        Printf.eprintf "%s: %s (%d):\n" file what (List.length items);
+        List.iter (fun m -> Printf.eprintf "  %s\n" m) (List.rev items)
+  in
+  report ("lacks sim_cycles entries that " ^ ref_file ^ " carries") !missing;
+  report ("simulated cycles diverged from " ^ ref_file) !mismatches;
+  if !missing <> [] || !mismatches <> [] then exit 1;
   if !shared = 0 then begin
     Printf.eprintf "%s vs %s: no shared sim_cycles entries to compare\n" file
       ref_file;
     exit 1
   end;
-  match List.rev !mismatches with
-  | [] ->
-      Printf.printf "%s: %d sim_cycles entries identical to %s\n" file !shared
-        ref_file
-  | ms ->
-      Printf.eprintf
-        "%s: simulated cycles diverged from %s (%d of %d entries):\n" file
-        ref_file (List.length ms) !shared;
-      List.iter (fun m -> Printf.eprintf "  %s\n" m) ms;
-      exit 1
+  Printf.printf "%s: %d sim_cycles entries identical to %s\n" file !shared
+    ref_file
 
 (* Campaign-artifact schema validation (PR 10): every manifest/results
    document Obs.Artifact writes must carry the shared prologue, and a

@@ -5,13 +5,10 @@
    claims measurable (E4/E7/E8 of DESIGN.md).  Throughput is simulated
    time — the reproduction target.
 
-   Part 2 is a Bechamel microbenchmark suite: one Test.make per Table 1
-   cell (host wall-time of simulating that cell, i.e. simulator speed)
-   plus the primitive operations of the stack.  These measure the
-   implementation, not the paper. *)
-
-open Bechamel
-open Toolkit
+   Part 2 (--quick) is the deterministic witness: a reduced cell set
+   whose simulated cycles the committed BENCH_*.json chain freezes,
+   plus the identity and allocation gates no unit test covers.  Host
+   time is not measured here; perfbench/ is the host-time benchmark. *)
 
 (* --- Part 1: the paper's numbers --- *)
 
@@ -125,195 +122,38 @@ let reproduce_fault_summary ?jobs () =
     s.Workload.Fault_injector.per_model;
   Fmt.pr "@."
 
-(* --- Part 2: Bechamel microbenchmarks --- *)
+(* --- Part 2: the deterministic witness (--quick) ---
 
-(* Primitive device operations. *)
-let bench_pmem_ops () =
-  let cfg = Nvm.Config.with_region_size Nvm.Config.desktop (1024 * 1024) in
-  let pmem = Nvm.Pmem.create cfg in
-  let i = ref 0 in
-  let test name f = Test.make ~name (Staged.stage f) in
-  [
-    test "pmem/store" (fun () ->
-        incr i;
-        Nvm.Pmem.store pmem (!i * 8 land 0xFFF8) 1L);
-    test "pmem/load" (fun () ->
-        incr i;
-        ignore (Nvm.Pmem.load pmem (!i * 8 land 0xFFF8)));
-    test "pmem/flush+fence" (fun () ->
-        Nvm.Pmem.store pmem 0 2L;
-        Nvm.Pmem.flush pmem 0;
-        Nvm.Pmem.fence pmem);
-    test "pmem/cas" (fun () ->
-        ignore (Nvm.Pmem.cas pmem 64 ~expected:0L ~desired:0L));
-  ]
+   A reduced cell set recording simulated cycles and minor-heap
+   allocation, written as JSON (schema tsp-bench-v3).  Keys are
+   normalized to [a-z0-9_] so they survive renames of the pretty
+   printers.  Simulated cycles are deterministic: check_json's
+   --sim-cycles-chain demands that every sim_cycles entry of every
+   committed BENCH_*.json reappears, byte-identical, in the fresh run.
 
-let bench_heap_ops () =
-  let pmem =
-    Nvm.Pmem.create (Nvm.Config.with_region_size Nvm.Config.desktop (8 * 1024 * 1024))
-  in
-  let heap = Pheap.Heap.create pmem ~base:0 ~size:(8 * 1024 * 1024) in
-  [
-    Test.make ~name:"heap/alloc+free"
-      (Staged.stage (fun () ->
-           let a = Pheap.Heap.alloc heap ~kind:Pheap.Kind.raw ~words:4 in
-           Pheap.Heap.free heap a));
-  ]
+   Besides the cells, --quick enforces the gates that live nowhere
+   else:
+   - the memory hierarchy alone allocates nothing per operation;
+   - the durable-linearizability history recorder and the event tracer
+     leave simulated cycles untouched (both timestamp with field reads:
+     no RNG, no cycle charges);
+   - batched quanta change neither cycles nor steps against the slice
+     fast path, and allocate no more than it;
+   - an exhaustive crash-window campaign under quanta finds no
+     unexpected violation;
+   - the sharded service's crashed shard recovers online and passes the
+     strict durable-linearizability check;
+   - every recovery engine leaves the eager engine's heap image, passes
+     the heap audit, and is identical across job counts, and
+     incremental recovery's outage is shorter than eager's;
+   - the fence-complexity frontier is identical across job counts,
+     every row is durably linearizable, and NVTraverse beats log-flush;
+   - [Obs.Hist.add] allocates nothing and drops no sample.
 
-let bench_skiplist_ops () =
-  let pmem =
-    Nvm.Pmem.create (Nvm.Config.with_region_size Nvm.Config.desktop (16 * 1024 * 1024))
-  in
-  let heap = Pheap.Heap.create pmem ~base:0 ~size:(16 * 1024 * 1024) in
-  let sl = Tsp_maps.Lockfree_skiplist.create heap ~num_threads:1 ~seed:1 () in
-  for k = 0 to 9999 do
-    Tsp_maps.Lockfree_skiplist.set_plain sl ~key:(k * 2) ~value:1L
-  done;
-  let ops = Tsp_maps.Lockfree_skiplist.ops sl in
-  let i = ref 0 in
-  [
-    Test.make ~name:"skiplist/get(10k)"
-      (Staged.stage (fun () ->
-           incr i;
-           ignore (ops.Tsp_maps.Map_intf.get ~tid:0 ~key:(!i * 7 mod 20000))));
-    Test.make ~name:"skiplist/set(10k)"
-      (Staged.stage (fun () ->
-           incr i;
-           ops.Tsp_maps.Map_intf.set ~tid:0 ~key:(!i * 2 mod 20000) ~value:2L));
-  ]
-
-let bench_undo_log () =
-  let pmem =
-    Nvm.Pmem.create (Nvm.Config.with_region_size Nvm.Config.desktop (1024 * 1024))
-  in
-  let log = Atlas.Undo_log.format pmem ~base:0 ~size:(512 * 1024) ~num_threads:1 in
-  let seq = ref 0 in
-  [
-    Test.make ~name:"undo-log/append+prune"
-      (Staged.stage (fun () ->
-           incr seq;
-           let at =
-             Atlas.Undo_log.append log ~tid:0
-               {
-                 Atlas.Log_entry.seq = !seq;
-                 tid = 0;
-                 payload = Atlas.Log_entry.Update { addr = 64; old = 0L };
-               }
-           in
-           Atlas.Undo_log.advance_tail log ~tid:0
-             ~new_tail:(Atlas.Undo_log.next_slot log at)
-             ~flush:false));
-  ]
-
-(* One Test.make per Table 1 cell: host time to simulate that cell with
-   a reduced iteration count.  Name format "<platform>/<variant>". *)
-let bench_table1_cells () =
-  let cell platform variant =
-    let config =
-      {
-        (Workload.Runner.calibrated_config platform) with
-        Workload.Runner.variant;
-        iterations = 40;
-        workload = Workload.Runner.Counters { h_keys = 2048; preload = true };
-        n_buckets = 1024;
-        log_mib = 2;
-      }
-    in
-    let name =
-      Printf.sprintf "table1/%s/%s"
-        (if platform.Nvm.Config.name = Nvm.Config.desktop.Nvm.Config.name
-         then "desktop"
-         else "server")
-        (Workload.Runner.variant_to_string variant)
-    in
-    Test.make ~name
-      (Staged.stage (fun () ->
-           let r = Workload.Runner.run config in
-           assert (Workload.Runner.consistent r)))
-  in
-  List.concat_map
-    (fun platform -> List.map (cell platform) Workload.Table1.variants)
-    [ Nvm.Config.desktop; Nvm.Config.server ]
-
-let run_bechamel tests =
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:None ()
-  in
-  let raw = Benchmark.all cfg instances (Test.make_grouped ~name:"tsp" tests) in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols_result ->
-      let ns =
-        match Analyze.OLS.estimates ols_result with
-        | Some [ est ] -> Printf.sprintf "%.1f" est
-        | _ -> "-"
-      in
-      rows := [ name; ns ] :: !rows)
-    results;
-  let rows = List.sort compare !rows in
-  Workload.Report.table ~header:[ "benchmark"; "ns/run (host)" ] ~rows
-    Format.std_formatter
-
-(* --- Part 3: the quick perf-trajectory snapshot (--quick) ---
-
-   A reduced cell set measured for host wall time, simulated cycles and
-   minor-heap allocation, written as JSON so successive PRs can diff the
-   simulator's speed (cf. machine-readable perf trajectories in CI).
-   Keys are normalized to [a-z0-9_] so they survive renames of the
-   pretty printers.  Simulated cycles are deterministic: check_json
-   cross-checks every cell shared with the committed BENCH_*.json
-   snapshots byte-for-byte.  The snapshot also measures three A/B pairs
-   on the same binary:
-   - the scheduler fast path on (default slice) vs off (slice 0);
-   - the SoA/unboxed memory-hierarchy fast path vs the retained boxed
-     access path ([Pmem.set_boxed_access]), same simulated cycles by
-     construction; and
-   - the reduced sweep suite at --jobs 1 vs --jobs N, the multicore
-     fan-out.  On a single-core host the latter ratio is ~1 by nature;
-     [host_cores] is recorded so readers can tell; and
-   - the durable-linearizability history recorder interposed on a full
-     workload run vs the same config with [instrument = None].  The
-     recorder timestamps ops with [Scheduler.now] (a field read, no RNG,
-     no simulated cost), so simulated cycles must be identical — the
-     cell asserts it — and only the host-side overhead differs; and
-   - the event tracer ([lib/obs]) attached to a full workload run vs
-     the same config with [tracer = None].  Emission packs ints into a
-     flat ring without allocating, drawing randomness or charging
-     cycles, so the traced run must be sim-cycle identical to the
-     untraced one — asserted here, the observability layer's central
-     determinism contract; and
-   - batched-quantum execution on the single-thread hot-path workload:
-     quanta on vs slice-only vs per-op scheduling (slice 0), byte-equal
-     simulated cycles and step counts asserted across all three; and
-   - an exhaustive crash-window fault campaign with quanta on vs off,
-     whose rendered verdict ledgers must be string-identical — the
-     campaign-level witness that quanta never move a crash point.
-
-   After writing the snapshot, --quick prints a one-line host-throughput
-   delta (geomean over shared cells) against the newest committed
-   BENCH_*.json, or against --compare FILE; --no-compare suppresses it. *)
-
-let now_ns () = Int64.of_float (Unix.gettimeofday () *. 1e9)
-
-let time_ns f =
-  let t0 = now_ns () in
-  let r = f () in
-  (r, Int64.to_int (Int64.sub (now_ns ()) t0))
-
-(* Host time and minor-heap words allocated while running [f].  The
-   [Gc.minor_words] calls themselves box a float or two; cells run long
-   enough that the constant is invisible, and the raw hot-path cell
-   asserts against a per-op threshold, not a literal zero. *)
-let time_and_alloc f =
-  let w0 = Gc.minor_words () in
-  let r, host_ns = time_ns f in
-  let words = Gc.minor_words () -. w0 in
-  (r, host_ns, words)
+   Identities a tier-1 test already asserts are left to it: the
+   scheduler slow path (test_determinism), quanta off (test_quantum),
+   a crash-free neighbour shard (test_service) and an untraced run
+   (test_obs). *)
 
 let normalize_key s =
   String.map
@@ -324,19 +164,23 @@ let normalize_key s =
       | _ -> '_')
     s
 
+(* Minor-heap words allocated while running [f].  The [Gc.minor_words]
+   calls themselves box a float or two; cells run long enough that the
+   constant is invisible, and the allocation gates assert per-op
+   thresholds, not a literal zero. *)
+let with_alloc f =
+  let w0 = Gc.minor_words () in
+  let r = f () in
+  (r, Gc.minor_words () -. w0)
+
 (* The hot path in isolation: one simulated thread hammering the device
-   through the scheduler step hook, with the fast path enabled (default
-   slice) or disabled (slice 0, the historical suspend-per-step path).
-   Identical simulated results are asserted; only host time differs.
-   [quantum] additionally wires the batched-execution handle, so
-   uncontended loads/stores bypass the hook entirely. *)
-let hot_path_cell ~ops ~slice ~quantum =
+   through the scheduler step hook at the default slice.  [quantum]
+   additionally wires the batched-execution handle, so uncontended
+   loads/stores bypass the hook entirely. *)
+let hot_path_cell ~ops ~quantum =
   let cfg = Nvm.Config.with_region_size Nvm.Config.desktop (1024 * 1024) in
   let pmem = Nvm.Pmem.create cfg in
-  let sched =
-    Sched.Scheduler.create ~seed:7 ~cost_jitter:3 ~deterministic_slice:slice
-      ~quantum ()
-  in
+  let sched = Sched.Scheduler.create ~seed:7 ~cost_jitter:3 ~quantum () in
   ignore
     (Sched.Scheduler.spawn sched ~name:"hot" (fun () ->
          for i = 1 to ops do
@@ -357,16 +201,12 @@ let hot_path_cell ~ops ~slice ~quantum =
   (Sched.Scheduler.elapsed_cycles sched, Sched.Scheduler.total_steps sched)
 
 (* The memory hierarchy alone: a load/store/periodic-cas loop against
-   the device with no scheduler attached, so every nanosecond is cache
-   bookkeeping plus the byte images.  With [boxed = false] this is the
-   SoA/unboxed fast path and must not allocate; with [boxed = true] it
-   is the retained historical access shape (option per hit, variant per
-   miss, [int64] box per word).  Simulated cycles accumulate on the
-   stats clock and are identical either way — the caller asserts so. *)
-let raw_loadstore_cell ~ops ~boxed =
+   the device with no scheduler attached, so every operation is cache
+   bookkeeping plus the byte images.  Must not allocate.  Simulated
+   cycles accumulate on the stats clock. *)
+let raw_loadstore_cell ~ops =
   let cfg = Nvm.Config.with_region_size Nvm.Config.desktop (1024 * 1024) in
   let pmem = Nvm.Pmem.create cfg in
-  Nvm.Pmem.set_boxed_access pmem boxed;
   let clock0 = (Nvm.Pmem.stats pmem).Nvm.Stats.clock in
   let acc = ref 0 in
   for i = 1 to ops do
@@ -389,19 +229,6 @@ let quick_table1_config platform variant =
     log_mib = 2;
   }
 
-let quick_sweep_suite ~jobs () =
-  ignore
-    (Workload.Sweeps.flush_latency ~iterations:120 ~latencies:[ 100; 500 ]
-       ~jobs ()
-      : Workload.Sweeps.series_table);
-  ignore
-    (Workload.Sweeps.thread_scaling ~iterations:120 ~thread_counts:[ 1; 4; 8 ]
-       ~jobs ()
-      : Workload.Sweeps.series_table);
-  ignore
-    (Workload.Sweeps.read_ratio ~iterations:120 ~read_pcts:[ 0; 50 ] ~jobs ()
-      : Workload.Sweeps.series_table)
-
 (* JSON rendering primitives come from the shared telemetry writer:
    [Obs.Json.float_repr] renders non-finite counters (a cell with zero
    loads+stores has a NaN hit rate) as null rather than an unparseable
@@ -410,135 +237,10 @@ let quick_sweep_suite ~jobs () =
 let json_float f = Obs.Json.float_repr f
 let json_escape s = Obs.Json.escape s
 
-type compare_mode = Auto | Compare_with of string | No_compare
-
-(* Read (name, sim_cycles, host_ns) triples back out of a snapshot this
-   harness wrote.  The writer puts one cell per line, so a line scanner
-   is exact on our own format (check_json holds the real parser; this
-   one only feeds the throughput-delta report). *)
-let scan_snapshot_cells file =
-  let find_int line key =
-    let pat = Printf.sprintf "\"%s\": " key in
-    let n = String.length line and m = String.length pat in
-    let rec at i =
-      if i + m > n then None
-      else if String.equal (String.sub line i m) pat then begin
-        let j = ref (i + m) in
-        while !j < n && (match line.[!j] with '0' .. '9' -> true | _ -> false) do
-          incr j
-        done;
-        if !j > i + m then int_of_string_opt (String.sub line (i + m) (!j - i - m))
-        else None
-      end
-      else at (i + 1)
-    in
-    at 0
-  in
-  let ic = open_in file in
-  let cells = ref [] in
-  (try
-     while true do
-       let line = input_line ic in
-       match String.index_opt line '"' with
-       | None -> ()
-       | Some q0 -> (
-           match String.index_from_opt line (q0 + 1) '"' with
-           | None -> ()
-           | Some q1 -> (
-               let name = String.sub line (q0 + 1) (q1 - q0 - 1) in
-               match (find_int line "sim_cycles", find_int line "host_ns") with
-               | Some cy, Some ns -> cells := (name, (cy, ns)) :: !cells
-               | _ -> ()))
-     done
-   with End_of_file -> ());
-  close_in ic;
-  List.rev !cells
-
-(* The newest committed BENCH_<n>.json sitting next to [out] (older than
-   [out] itself when [out] is one of them). *)
-let previous_snapshot ~out =
-  let dir = Filename.dirname out in
-  let parse_n name =
-    let pre = "BENCH_" and suf = ".json" in
-    let lp = String.length pre and ls = String.length suf in
-    let l = String.length name in
-    if l > lp + ls
-       && String.equal (String.sub name 0 lp) pre
-       && Filename.check_suffix name suf
-    then int_of_string_opt (String.sub name lp (l - lp - ls))
-    else None
-  in
-  let self_n = parse_n (Filename.basename out) in
-  Array.to_list (try Sys.readdir dir with Sys_error _ -> [||])
-  |> List.filter_map (fun f ->
-         match parse_n f with
-         | Some n when (match self_n with Some s -> n < s | None -> true) ->
-             Some (n, Filename.concat dir f)
-         | _ -> None)
-  |> List.sort (fun (a, _) (b, _) -> compare b a)
-  |> function
-  | (_, f) :: _ -> Some f
-  | [] -> None
-
-(* Host-throughput delta vs the previous snapshot: simulated cycles per
-   host second is the simulator's speed, and shared cells have identical
-   sim_cycles (check_json enforces it), so the ratio is a pure host-time
-   comparison.  One summary line (the geomean), one detail line per
-   shared cell. *)
-let compare_with_previous ~out ~mode =
-  let prev =
-    match mode with
-    | No_compare -> None
-    | Compare_with f -> Some f
-    | Auto -> previous_snapshot ~out
-  in
-  match prev with
-  | None -> Fmt.pr "  (no previous BENCH_*.json to compare against)@."
-  | Some prev_file -> (
-      (* A missing or unreadable snapshot is a note, not a failure: the
-         delta report is advisory, and a fresh checkout (or an --out
-         pointed somewhere new) legitimately has nothing to diff
-         against. *)
-      match
-        try Some (scan_snapshot_cells prev_file) with Sys_error _ -> None
-      with
-      | None ->
-          Fmt.pr "  (previous snapshot %s is missing or unreadable — \
-                  skipping the throughput delta)@."
-            prev_file
-      | Some prev_cells ->
-      let cur_cells = scan_snapshot_cells out in
-      let shared =
-        List.filter_map
-          (fun (name, (cy, ns)) ->
-            match List.assoc_opt name prev_cells with
-            | Some (pcy, pns) -> Some (name, (pcy, pns), (cy, ns))
-            | None -> None)
-          cur_cells
-      in
-      if shared = [] then
-        Fmt.pr "  (no cells shared with %s — skipping the throughput \
-                delta)@."
-          prev_file
-      else begin
-        let tp cy ns = 1e3 *. float_of_int cy /. float_of_int (max 1 ns) in
-        let log_sum = ref 0.0 in
-        List.iter
-          (fun (name, (pcy, pns), (cy, ns)) ->
-            let sp = tp cy ns /. tp pcy pns in
-            log_sum := !log_sum +. log sp;
-            Fmt.pr "    %-40s %8.1f -> %8.1f Msimc/s (%.2fx)@." name
-              (tp pcy pns) (tp cy ns) sp)
-          shared;
-        let geo = exp (!log_sum /. float_of_int (List.length shared)) in
-        Fmt.pr "  host throughput vs %s: %.2fx geomean over %d shared cells@."
-          prev_file geo (List.length shared)
-      end)
-
-let run_quick ~jobs ~out ~compare_mode =
+let run_quick ~jobs ~out =
   let jobs = match jobs with Some j -> j | None -> Workload.Parallel.default_jobs () in
-  (* The single-thread hot-path workload: the cell the quantum A/B below
-     re-runs under each execution mode. *)
+  (* The single-thread hot-path workload; the quantum crash campaign
+     below reuses its shape. *)
   let hot1_config =
     {
       (Workload.Runner.calibrated_config Nvm.Config.desktop) with
@@ -555,16 +257,13 @@ let run_quick ~jobs ~out ~compare_mode =
   let cells =
     List.map
       (fun (name, config) ->
-        let r, host_ns, minor_words =
-          time_and_alloc (fun () -> Workload.Runner.run config)
-        in
+        let r, minor_words = with_alloc (fun () -> Workload.Runner.run config) in
         if not (Workload.Runner.consistent r) then
           Fmt.failwith "quick bench: %s inconsistent (seed %d, %d sim cycles): %a"
             name config.Workload.Runner.seed r.Workload.Runner.elapsed_cycles
             Workload.Invariant.pp r.Workload.Runner.invariants;
         ( normalize_key name,
           r.Workload.Runner.elapsed_cycles,
-          host_ns,
           minor_words,
           Nvm.Stats.hit_rate r.Workload.Runner.device_stats ))
       (List.concat_map
@@ -578,56 +277,23 @@ let run_quick ~jobs ~out ~compare_mode =
          [ ("desktop", Nvm.Config.desktop); ("server", Nvm.Config.server) ]
       @ [ ("hot_path_log_only_1thread", hot1_config) ])
   in
-  (* The allocation cell: the memory hierarchy alone, on the unboxed
-     fast path.  Its contract is zero minor words per operation; the
-     snapshot records the measurement and the bench fails if it drifts
-     (the threshold admits the [Gc.minor_words] float boxes, not a
-     per-op leak). *)
+  (* The allocation cell: the memory hierarchy alone.  Its contract is
+     zero minor words per operation; the bench fails if it drifts (the
+     threshold admits the [Gc.minor_words] float boxes, not a per-op
+     leak).  The same cell backs the SoA-access entry of the A/B
+     section. *)
   let raw_ops = 2_000_000 in
-  let raw_cycles, raw_host_ns, raw_words =
-    time_and_alloc (fun () -> raw_loadstore_cell ~ops:raw_ops ~boxed:false)
+  let raw_cycles, raw_words =
+    with_alloc (fun () -> raw_loadstore_cell ~ops:raw_ops)
   in
   let raw_words_per_op = raw_words /. float_of_int raw_ops in
   if raw_words_per_op > 0.01 then
-    Fmt.failwith
-      "quick bench: unboxed fast path allocates (%.4f minor words/op)"
+    Fmt.failwith "quick bench: the device fast path allocates (%.4f minor words/op)"
       raw_words_per_op;
-  (* A/B 1: scheduler fast path on vs off, same simulated results.  Both
-     legs run without quanta so the cell keeps measuring exactly what it
-     measured when BENCH_1..4 were recorded: the slice fast path alone. *)
-  let ops = 400_000 in
-  let cy_on, fast_on_ns =
-    time_ns (fun () ->
-        hot_path_cell ~ops ~slice:Sched.Scheduler.default_slice ~quantum:false)
-  in
-  let cy_off, fast_off_ns =
-    time_ns (fun () -> hot_path_cell ~ops ~slice:0 ~quantum:false)
-  in
-  if cy_on <> cy_off then
-    Fmt.failwith "quick bench: fast path changed simulated cycles (%d vs %d)"
-      (fst cy_on) (fst cy_off);
-  (* A/B 2: SoA/unboxed access path vs the retained boxed path.  Same
-     simulated cycles by construction, asserted here on one binary. *)
-  let soa_cycles, soa_on_ns, soa_on_words =
-    time_and_alloc (fun () -> raw_loadstore_cell ~ops:raw_ops ~boxed:false)
-  in
-  let soa_cycles_boxed, soa_off_ns, soa_off_words =
-    time_and_alloc (fun () -> raw_loadstore_cell ~ops:raw_ops ~boxed:true)
-  in
-  if soa_cycles <> soa_cycles_boxed then
-    Fmt.failwith
-      "quick bench: boxed access path changed simulated cycles (%d vs %d)"
-      soa_cycles soa_cycles_boxed;
-  if soa_cycles <> raw_cycles then
-    Fmt.failwith "quick bench: raw load/store cell is not deterministic";
-  (* A/B 3: the reduced sweep suite, sequential vs fanned out. *)
-  let (), suite_j1_ns = time_ns (fun () -> quick_sweep_suite ~jobs:1 ()) in
-  let (), suite_jn_ns = time_ns (fun () -> quick_sweep_suite ~jobs ()) in
-  (* A/B 4: the history recorder on vs off, one full workload run each.
+  (* The history recorder on vs off, one full workload run each.
      [Scheduler.now] reads the current thread's vclock without touching
      the RNG or charging cycles, so recording is invisible to the
-     simulation — identical elapsed cycles are asserted, and the JSON
-     records the host-side cost of remembering every operation. *)
+     simulation — identical elapsed cycles are asserted. *)
   let hr_config instrument =
     {
       (Workload.Runner.calibrated_config Nvm.Config.desktop) with
@@ -640,8 +306,8 @@ let run_quick ~jobs ~out ~compare_mode =
       instrument;
     }
   in
-  let hr_off, hr_off_ns, hr_off_words =
-    time_and_alloc (fun () -> Workload.Runner.run (hr_config None))
+  let hr_off, hr_off_words =
+    with_alloc (fun () -> Workload.Runner.run (hr_config None))
   in
   let hr_recorder = ref None in
   let hr_instrument sched ops =
@@ -649,8 +315,8 @@ let run_quick ~jobs ~out ~compare_mode =
     hr_recorder := Some h;
     Check.History.wrap h ops
   in
-  let hr_on, hr_on_ns, hr_on_words =
-    time_and_alloc (fun () -> Workload.Runner.run (hr_config (Some hr_instrument)))
+  let hr_on, hr_on_words =
+    with_alloc (fun () -> Workload.Runner.run (hr_config (Some hr_instrument)))
   in
   if
     hr_on.Workload.Runner.elapsed_cycles
@@ -666,150 +332,89 @@ let run_quick ~jobs ~out ~compare_mode =
     | Some h -> Check.History.length h
     | None -> Fmt.failwith "quick bench: history instrument hook never ran"
   in
-  (* A/B 5: the event tracer on vs off, one full workload run each.
-     Emission writes packed ints into a preallocated ring — no RNG, no
-     cycle charges — so the traced run must be byte-identical in
-     simulated cycles; this cell is the bench-level witness of that
-     contract (test/test_obs.ml holds the unit-level one). *)
-  let tc_config tracer = { (hr_config None) with Workload.Runner.tracer } in
-  let tc_off, tc_off_ns, tc_off_words =
-    time_and_alloc (fun () -> Workload.Runner.run (tc_config None))
-  in
+  (* The event tracer attached to the same workload.  Emission writes
+     packed ints into a preallocated ring — no RNG, no cycle charges —
+     so the traced run must match the recorder's uninstrumented leg,
+     which is the same config with no tracer.  Every emit also feeds the
+     dirty-exposure [Obs.Hist], so this is the histogram's sim-cycle
+     witness too. *)
   let tc_tracer = Obs.Tracer.create ~ring_cap:65536 () in
-  let tc_on, tc_on_ns, tc_on_words =
-    time_and_alloc (fun () -> Workload.Runner.run (tc_config (Some tc_tracer)))
+  let tc_on, tc_on_words =
+    with_alloc (fun () ->
+        Workload.Runner.run
+          { (hr_config None) with Workload.Runner.tracer = Some tc_tracer })
   in
   if
     tc_on.Workload.Runner.elapsed_cycles
-    <> tc_off.Workload.Runner.elapsed_cycles
+    <> hr_off.Workload.Runner.elapsed_cycles
   then
     Fmt.failwith
       "quick bench: event tracing perturbed the simulation (%d vs %d cycles)"
       tc_on.Workload.Runner.elapsed_cycles
-      tc_off.Workload.Runner.elapsed_cycles;
+      hr_off.Workload.Runner.elapsed_cycles;
   let tc_events = Obs.Tracer.emitted tc_tracer in
-  (* A/B 6: batched-quantum execution on the single-thread hot path —
-     the same device-op loop the sched_fast_path pair measures, where
-     per-operation scheduling cost is the whole bill.  Three execution
-     modes of the same loop:
-     - on:         quanta + default slice (the default configuration);
-     - slice_only: no quanta, default slice (PR 1's fast path alone);
-     - off:        no quanta, slice 0 — every operation re-enters the
-                   scheduler through an effect, the historical baseline
-                   the tentpole is measured against.
-     All three must agree on simulated cycles and step counts (byte-
-     identical interleavings — the full-workload version of this
-     identity, across every Table 1 variant, lives in test_quantum.ml);
-     the JSON records all three host timings so both the headline ratio
-     (off/on) and the increment over the slice fast path
-     (slice_only/on) stay visible.  The quantum itself allocates
-     nothing, so the on leg's minor words are guarded against the
-     slice-only leg's. *)
+  (* Batched-quantum execution on the single-thread hot path, quanta on
+     vs the slice fast path alone.  Both legs must agree on simulated
+     cycles and step counts; the slice-only leg is also the
+     sched_fast_path witness.  The quantum itself allocates nothing, so
+     the on leg's minor words are guarded against the slice-only
+     leg's. *)
   let qb_ops = 400_000 in
-  let qb_run ~quantum ~slice =
-    time_and_alloc (fun () -> hot_path_cell ~ops:qb_ops ~slice ~quantum)
+  let qb_on, qb_on_words =
+    with_alloc (fun () -> hot_path_cell ~ops:qb_ops ~quantum:true)
   in
-  let qb_on, qb_on_ns, qb_on_words =
-    qb_run ~quantum:true ~slice:Sched.Scheduler.default_slice
+  let qb_slice, qb_slice_words =
+    with_alloc (fun () -> hot_path_cell ~ops:qb_ops ~quantum:false)
   in
-  let qb_slice, qb_slice_ns, qb_slice_words =
-    qb_run ~quantum:false ~slice:Sched.Scheduler.default_slice
-  in
-  let qb_off, qb_off_ns, _qb_off_words = qb_run ~quantum:false ~slice:0 in
-  if qb_on <> qb_slice || qb_on <> qb_off then
+  if qb_on <> qb_slice then
     Fmt.failwith
-      "quick bench: quantum batching changed the simulation (%d/%d, %d/%d, \
-       %d/%d cycles/steps)"
-      (fst qb_on) (snd qb_on) (fst qb_slice) (snd qb_slice) (fst qb_off)
-      (snd qb_off);
+      "quick bench: quantum batching changed the simulation (%d/%d vs %d/%d \
+       cycles/steps)"
+      (fst qb_on) (snd qb_on) (fst qb_slice) (snd qb_slice);
   if qb_on_words > (qb_slice_words *. 1.10) +. 65536.0 then
     Fmt.failwith
       "quick bench: quantum batching allocates (%.0f minor words vs %.0f \
        without quanta)"
       qb_on_words qb_slice_words;
-  let qb_speedup = float_of_int qb_off_ns /. float_of_int (max 1 qb_on_ns) in
-  (* A/B 7: an exhaustive crash-window fault campaign with quanta on vs
-     off.  The verdict ledger — every crash step, recovery verdict,
-     violation judgement and reproducer — must render identically, which
-     is the campaign-level witness that quanta never move a crash point
-     or change what recovery sees. *)
-  let qc_spec quantum =
-    {
-      (Workload.Fault_injector.default_spec
-         {
-           hot1_config with
-           Workload.Runner.threads = 2;
-           iterations = 300;
-           workload = Workload.Runner.Counters { h_keys = 1024; preload = true };
-           quantum;
-         })
-      with
-      Workload.Fault_injector.exhaustive =
-        Some
-          { Workload.Fault_injector.from_step = 30_000; window = 1_500; stride = 150 };
-    }
+  (* An exhaustive crash-window fault campaign under quanta: every crash
+     point must recover without an unexpected violation. *)
+  let qc =
+    Workload.Fault_injector.run ~jobs
+      {
+        (Workload.Fault_injector.default_spec
+           {
+             hot1_config with
+             Workload.Runner.threads = 2;
+             iterations = 300;
+             workload = Workload.Runner.Counters { h_keys = 1024; preload = true };
+           })
+        with
+        Workload.Fault_injector.exhaustive =
+          Some
+            { Workload.Fault_injector.from_step = 30_000; window = 1_500; stride = 150 };
+      }
   in
-  let qc_on, qc_on_ns =
-    time_ns (fun () -> Workload.Fault_injector.run ~jobs (qc_spec true))
-  in
-  let qc_off, qc_off_ns =
-    time_ns (fun () -> Workload.Fault_injector.run ~jobs (qc_spec false))
-  in
-  let qc_ledger s = Fmt.str "%a" Workload.Fault_injector.pp_summary s in
-  if not (String.equal (qc_ledger qc_on) (qc_ledger qc_off)) then
-    Fmt.failwith
-      "quick bench: quanta changed the crash-campaign verdict ledger:@.--- \
-       with quanta ---@.%s@.--- without ---@.%s"
-      (qc_ledger qc_on) (qc_ledger qc_off);
-  if qc_on.Workload.Fault_injector.unexpected_violations <> 0 then
+  if qc.Workload.Fault_injector.unexpected_violations <> 0 then
     Fmt.failwith "quick bench: quantum crash campaign found violations";
-  (* A/B 8: the sharded KV service, one shard crashed and recovered
-     online vs nobody crashed.  Shards are independent simulation cells
-     behind a deterministic router, so the crash parameters never reach
-     the survivors: their witnesses (request fates, step counts, device
-     and scheduler clocks) must be identical in both legs — the
-     bench-level blast-radius guarantee.  The snapshot records the
-     victim's full timeline (down, recovery, back up) with its final
-     scheduler clock as the sim_cycles witness. *)
-  let sv_config =
-    {
-      Service.Serve.smoke_config with
-      Service.Serve.shards = 3;
-      seed = 23;
-      keys = 2048;
-      requests = 1200;
-      rate_per_mcycle = 250.;
-      crash_shard = Some 1;
-      n_buckets = Some 512;
-      windows = 6;
-    }
+  (* The sharded KV service with one shard crashed and recovered online.
+     The snapshot records the victim's timeline (down, recovery, back
+     up) with its final scheduler clock as the sim_cycles witness; the
+     victim must come back and pass the strict DL check. *)
+  let sv =
+    Service.Serve.run ~jobs
+      {
+        Service.Serve.smoke_config with
+        Service.Serve.shards = 3;
+        seed = 23;
+        keys = 2048;
+        requests = 1200;
+        rate_per_mcycle = 250.;
+        crash_shard = Some 1;
+        n_buckets = Some 512;
+        windows = 6;
+      }
   in
-  let sv_crash, sv_crash_ns =
-    time_ns (fun () -> Service.Serve.run ~jobs sv_config)
-  in
-  let sv_base, sv_base_ns =
-    time_ns (fun () ->
-        Service.Serve.run ~jobs
-          { sv_config with Service.Serve.crash_shard = None })
-  in
-  let sv_witness (s : Service.Serve.shard_report) =
-    ( s.Service.Serve.served,
-      s.Service.Serve.shed,
-      s.Service.Serve.timed_out,
-      s.Service.Serve.steps,
-      s.Service.Serve.sim_cycles,
-      s.Service.Serve.elapsed_cycles )
-  in
-  Array.iteri
-    (fun i (s : Service.Serve.shard_report) ->
-      if i <> 1 && sv_witness s <> sv_witness sv_base.Service.Serve.shards.(i)
-      then
-        Fmt.failwith
-          "quick bench: shard %d witness differs between crashed and \
-           crash-free service runs (blast radius leaked)"
-          i)
-    sv_crash.Service.Serve.shards;
-  let sv_victim = sv_crash.Service.Serve.shards.(1) in
+  let sv_victim = sv.Service.Serve.shards.(1) in
   if not (String.equal sv_victim.Service.Serve.outcome "crashed+recovered")
   then
     Fmt.failwith "quick bench: service victim shard outcome is %S"
@@ -827,33 +432,27 @@ let run_quick ~jobs ~out ~compare_mode =
   | None ->
       Fmt.failwith "quick bench: service victim DL check was skipped (%s)"
         sv_rec.Service.Serve.dl_note);
-  let sv_tally (r : Service.Serve.report) =
+  let sv_served, sv_shed, sv_timed_out =
     Array.fold_left
       (fun (srv, shd, t_o) (s : Service.Serve.shard_report) ->
         ( srv + s.Service.Serve.served,
           shd + s.Service.Serve.shed,
           t_o + s.Service.Serve.timed_out ))
-      (0, 0, 0) r.Service.Serve.shards
+      (0, 0, 0) sv.Service.Serve.shards
   in
-  let sv_served, sv_shed, sv_timed_out = sv_tally sv_crash in
-  (* A/B 9: recovery at scale (E22).  The same deterministic crashed heap
-     recovered eagerly (per-word costed cache simulation) and with the
-     streamed parallel engine (peek discovery + one analytic line-grained
-     bill).  Both must leave a byte-identical heap image, and the
-     parallel cells must be structurally identical at every job count;
-     the 10^6-object heap records the host-time speedup of streaming
-     over cache simulation.  Incremental mode's outage is the
-     availability headline: near-constant while full collections grow
-     linearly with the population. *)
+  (* Recovery at scale (E22).  The same deterministic crashed heap
+     recovered eagerly (per-word costed cache simulation), with the
+     streamed parallel engine (peek discovery + one analytic
+     line-grained bill) and incrementally.  All must leave a
+     byte-identical heap image, and the parallel cells must be
+     structurally identical at every job count.  Incremental mode's
+     outage is the availability headline: near-constant while full
+     collections grow linearly with the population. *)
   let module RS = Workload.Recovery_scaling in
   let rs_variant = Workload.Runner.Mutex_map Atlas.Mode.Log_only in
   let rs_cell ~objects ~mode =
     RS.run_cell ~variant:rs_variant ~objects ~mode ~seed:29 ~touches:48 ()
   in
-  (* Host time of the recovery pipeline alone: population dominates the
-     whole-cell wall clock and is identical across modes, so the
-     mode-to-mode host comparison uses [recover_host_ms]. *)
-  let rs_host_ns (c : RS.cell) = int_of_float (c.RS.recover_host_ms *. 1e6) in
   let rs_check ~objects (eager : RS.cell) (other : RS.cell) =
     if other.RS.image_hash <> eager.RS.image_hash then
       Fmt.failwith
@@ -890,38 +489,34 @@ let run_quick ~jobs ~out ~compare_mode =
           "quick bench: parallel recovery diverges across job counts \
            (determinism violation)"
   | _ -> assert false);
+  let _, eager60, _, inc60 = List.nth rs_curve 1 in
   let rs_big = 1_000_000 in
   let rs_big_eager = rs_cell ~objects:rs_big ~mode:Workload.Machine.Eager in
   let rs_big_par =
     rs_cell ~objects:rs_big ~mode:(Workload.Machine.Parallel_gc 2)
   in
   rs_check ~objects:rs_big rs_big_eager rs_big_par;
-  let rs_speedup =
-    float_of_int (rs_host_ns rs_big_eager)
-    /. float_of_int (max 1 (rs_host_ns rs_big_par))
-  in
-  (* A/B 10: the fence-complexity frontier cell (E23).  Three designs —
-     eager log-flush fortification, the plain lock-free skip list, and
-     its NVTraverse transformation — on one identical counter workload,
-     with both legs of each row (traced run + strict-DL crash point)
-     computed under --jobs 1 and under the requested fan-out.  The rows
-     must be identical field-for-field across job counts (params are
-     drawn before the fan-out and each machine is private), and the
-     frontier ordering itself is asserted: NVTraverse strictly fewer
-     flushes per op than log-flush at equal or better throughput. *)
-  let ff_variants =
-    [
-      Workload.Runner.Mutex_map Atlas.Mode.Log_flush;
-      Workload.Runner.Nonblocking_map;
-      Workload.Runner.Nvtraverse_map;
-    ]
-  in
+  (* The fence-complexity frontier (E23).  Three designs — eager
+     log-flush fortification, the plain lock-free skip list, and its
+     NVTraverse transformation — on one identical counter workload, with
+     both legs of each row (traced run + strict-DL crash point) computed
+     under --jobs 1 and under the requested fan-out.  The rows must be
+     identical field-for-field across job counts (params are drawn
+     before the fan-out and each machine is private), and the frontier
+     ordering itself is asserted: NVTraverse strictly fewer flushes per
+     op than log-flush at equal or better throughput. *)
   let ff_run jobs =
-    Workload.Frontier.run ~jobs ~variants:ff_variants
+    Workload.Frontier.run ~jobs
+      ~variants:
+        [
+          Workload.Runner.Mutex_map Atlas.Mode.Log_flush;
+          Workload.Runner.Nonblocking_map;
+          Workload.Runner.Nvtraverse_map;
+        ]
       ~platform:Nvm.Config.desktop ()
   in
-  let ff_rows, ff_j1_ns = time_ns (fun () -> ff_run 1) in
-  let ff_rows_jn, ff_jn_ns = time_ns (fun () -> ff_run jobs) in
+  let ff_rows = ff_run 1 in
+  let ff_rows_jn = ff_run jobs in
   if ff_rows <> ff_rows_jn then
     Fmt.failwith
       "quick bench: frontier rows diverge across job counts (determinism \
@@ -947,22 +542,18 @@ let run_quick ~jobs ~out ~compare_mode =
        beat log-flush (%.3f flushes/op, %.2f Miters/s)"
       ff_nvt.Workload.Frontier.flushes_per_op ff_nvt.Workload.Frontier.miters
       ff_lf.Workload.Frontier.flushes_per_op ff_lf.Workload.Frontier.miters;
-  (* A/B 11: histogram instrumentation (PR 10).  [Obs.Hist] cells now sit
-     on two hot paths — {!Obs.Tracer.emit} feeds the dirty-exposure
-     histogram, and the Serve latency sink retains log-bucketed
-     histograms instead of raw samples — so the traced-vs-untraced pair
-     above (A/B 5) is also the sim-cycle identity witness for the
-     histogram: its traced leg ran with every emit feeding [Hist.add],
-     and its cycles matched the untraced leg's.  This cell times the add
-     loop itself and asserts it allocates nothing. *)
+  (* [Obs.Hist] sits on two hot paths — {!Obs.Tracer.emit} feeds the
+     dirty-exposure histogram and the Serve latency sink keeps
+     log-bucketed histograms — so its add loop must allocate nothing and
+     count every sample. *)
   let hi_ops = 2_000_000 in
   let hi_h = Obs.Hist.create () in
-  let hi_fill () =
-    for i = 1 to hi_ops do
-      Obs.Hist.add hi_h (i * 2654435761 land 0xFFFFF)
-    done
+  let (), hi_words =
+    with_alloc (fun () ->
+        for i = 1 to hi_ops do
+          Obs.Hist.add hi_h (i * 2654435761 land 0xFFFFF)
+        done)
   in
-  let (), hi_ns, hi_words = time_and_alloc hi_fill in
   let hi_words_per_op = hi_words /. float_of_int hi_ops in
   if hi_words_per_op > 0.01 then
     Fmt.failwith "quick bench: Obs.Hist.add allocates (%.4f minor words/op)"
@@ -973,33 +564,30 @@ let run_quick ~jobs ~out ~compare_mode =
   let b = Buffer.create 4096 in
   let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   pf "{\n";
-  pf "  \"schema\": \"tsp-bench-v2\",\n";
-  pf "  \"host_cores\": %d,\n" (Workload.Parallel.default_jobs ());
+  pf "  \"schema\": \"tsp-bench-v3\",\n";
   pf "  \"jobs\": %d,\n" jobs;
   pf "  \"cells\": {\n";
   List.iter
-    (fun (name, sim_cycles, host_ns, minor_words, hit_rate) ->
-      pf "    \"%s\": { \"sim_cycles\": %d, \"host_ns\": %d, \
-          \"minor_words\": %.0f, \"hit_rate\": %s },\n"
-        (json_escape name) sim_cycles host_ns minor_words
-        (json_float hit_rate))
+    (fun (name, sim_cycles, minor_words, hit_rate) ->
+      pf "    \"%s\": { \"sim_cycles\": %d, \"minor_words\": %.0f, \
+          \"hit_rate\": %s },\n"
+        (json_escape name) sim_cycles minor_words (json_float hit_rate))
     cells;
   List.iter
     (fun (objects, eager, par, inc) ->
       let cell name (c : RS.cell) =
-        pf "    \"recovery_%s_%dk\": { \"sim_cycles\": %d, \"host_ns\": %d, \
+        pf "    \"recovery_%s_%dk\": { \"sim_cycles\": %d, \
             \"background_cycles\": %d },\n"
-          name (objects / 1000) c.RS.outage_cycles (rs_host_ns c)
-          c.RS.background_cycles
+          name (objects / 1000) c.RS.outage_cycles c.RS.background_cycles
       in
       cell "eager" eager;
       cell "parallel" par;
       cell "incremental" inc)
     rs_curve;
-  pf "    \"recovery_eager_1000k\": { \"sim_cycles\": %d, \"host_ns\": %d },\n"
-    rs_big_eager.RS.outage_cycles (rs_host_ns rs_big_eager);
-  pf "    \"recovery_parallel_1000k\": { \"sim_cycles\": %d, \"host_ns\": %d },\n"
-    rs_big_par.RS.outage_cycles (rs_host_ns rs_big_par);
+  pf "    \"recovery_eager_1000k\": { \"sim_cycles\": %d },\n"
+    rs_big_eager.RS.outage_cycles;
+  pf "    \"recovery_parallel_1000k\": { \"sim_cycles\": %d },\n"
+    rs_big_par.RS.outage_cycles;
   List.iter
     (fun (r : Workload.Frontier.row) ->
       pf "    \"frontier_%s\": { \"sim_cycles\": %d, \"completed_ops\": %d, \
@@ -1011,72 +599,44 @@ let run_quick ~jobs ~out ~compare_mode =
         r.Workload.Frontier.flushes_per_op r.Workload.Frontier.fences_per_op
         r.Workload.Frontier.appends_per_op)
     ff_rows;
-  pf "    \"hot_path_loadstore_raw\": { \"sim_cycles\": %d, \"host_ns\": %d, \
+  pf "    \"hot_path_loadstore_raw\": { \"sim_cycles\": %d, \
        \"minor_words\": %.0f, \"ops\": %d, \"minor_words_per_op\": %.4f }\n"
-    raw_cycles raw_host_ns raw_words raw_ops raw_words_per_op;
+    raw_cycles raw_words raw_ops raw_words_per_op;
   pf "  },\n";
   pf "  \"ab\": {\n";
-  pf "    \"sched_fast_path\": { \"sim_cycles\": %d, \"on_host_ns\": %d, \
-       \"off_host_ns\": %d, \"speedup\": %.2f },\n"
-    (fst cy_on) fast_on_ns fast_off_ns
-    (float_of_int fast_off_ns /. float_of_int (max 1 fast_on_ns));
-  pf "    \"soa_unboxed_access\": { \"sim_cycles\": %d, \"on_host_ns\": %d, \
-       \"off_host_ns\": %d, \"speedup\": %.2f, \"on_minor_words\": %.0f, \
-       \"off_minor_words\": %.0f },\n"
-    soa_cycles soa_on_ns soa_off_ns
-    (float_of_int soa_off_ns /. float_of_int (max 1 soa_on_ns))
-    soa_on_words soa_off_words;
-  pf "    \"sweep_suite_jobs\": { \"jobs\": %d, \"jobs1_host_ns\": %d, \
-       \"jobsn_host_ns\": %d, \"speedup\": %.2f },\n"
-    jobs suite_j1_ns suite_jn_ns
-    (float_of_int suite_j1_ns /. float_of_int (max 1 suite_jn_ns));
-  pf "    \"history_recording\": { \"sim_cycles\": %d, \"on_host_ns\": %d, \
-       \"off_host_ns\": %d, \"overhead\": %.2f, \"on_minor_words\": %.0f, \
+  pf "    \"sched_fast_path\": { \"sim_cycles\": %d, \"total_steps\": %d },\n"
+    (fst qb_slice) (snd qb_slice);
+  pf "    \"soa_unboxed_access\": { \"sim_cycles\": %d, \"minor_words\": %.0f },\n"
+    raw_cycles raw_words;
+  pf "    \"history_recording\": { \"sim_cycles\": %d, \"on_minor_words\": %.0f, \
        \"off_minor_words\": %.0f, \"ops_recorded\": %d },\n"
-    hr_on.Workload.Runner.elapsed_cycles hr_on_ns hr_off_ns
-    (float_of_int hr_on_ns /. float_of_int (max 1 hr_off_ns))
-    hr_on_words hr_off_words hr_ops;
-  pf "    \"trace_recording\": { \"sim_cycles\": %d, \"on_host_ns\": %d, \
-       \"off_host_ns\": %d, \"overhead\": %.2f, \"on_minor_words\": %.0f, \
-       \"off_minor_words\": %.0f, \"events_emitted\": %d },\n"
-    tc_on.Workload.Runner.elapsed_cycles tc_on_ns tc_off_ns
-    (float_of_int tc_on_ns /. float_of_int (max 1 tc_off_ns))
-    tc_on_words tc_off_words tc_events;
+    hr_on.Workload.Runner.elapsed_cycles hr_on_words hr_off_words hr_ops;
+  pf "    \"trace_recording\": { \"sim_cycles\": %d, \"minor_words\": %.0f, \
+       \"events_emitted\": %d },\n"
+    tc_on.Workload.Runner.elapsed_cycles tc_on_words tc_events;
   pf "    \"quantum_batching\": { \"sim_cycles\": %d, \"total_steps\": %d, \
-       \"on_host_ns\": %d, \"off_host_ns\": %d, \"slice_only_host_ns\": %d, \
-       \"speedup\": %.2f, \"speedup_vs_slice_only\": %.2f, \
        \"on_minor_words\": %.0f, \"slice_only_minor_words\": %.0f },\n"
-    (fst qb_on) (snd qb_on) qb_on_ns qb_off_ns qb_slice_ns qb_speedup
-    (float_of_int qb_slice_ns /. float_of_int (max 1 qb_on_ns))
-    qb_on_words qb_slice_words;
+    (fst qb_on) (snd qb_on) qb_on_words qb_slice_words;
   pf "    \"quantum_crash_campaign\": { \"crash_points\": %d, \"crashes\": %d, \
-       \"violations\": %d, \"on_host_ns\": %d, \"off_host_ns\": %d, \
-       \"speedup\": %.2f },\n"
-    qc_on.Workload.Fault_injector.total qc_on.Workload.Fault_injector.crashes
-    qc_on.Workload.Fault_injector.violations qc_on_ns qc_off_ns
-    (float_of_int qc_off_ns /. float_of_int (max 1 qc_on_ns));
+       \"violations\": %d },\n"
+    qc.Workload.Fault_injector.total qc.Workload.Fault_injector.crashes
+    qc.Workload.Fault_injector.violations;
   pf "    \"shard_service\": { \"sim_cycles\": %d, \"t_down\": %d, \
        \"t_up\": %d, \"recovery_cycles\": %d, \"rescued_lines\": %d, \
-       \"served\": %d, \"shed\": %d, \"timed_out\": %d, \
-       \"crash_host_ns\": %d, \"baseline_host_ns\": %d },\n"
+       \"served\": %d, \"shed\": %d, \"timed_out\": %d },\n"
     sv_victim.Service.Serve.elapsed_cycles sv_rec.Service.Serve.t_down
     sv_rec.Service.Serve.t_up sv_rec.Service.Serve.recovery_cycles
-    sv_rec.Service.Serve.rescued_lines sv_served sv_shed sv_timed_out
-    sv_crash_ns sv_base_ns;
-  (let _, _, _, inc60 = List.nth rs_curve 1 in
-   pf "    \"recovery_scaling\": { \"sim_cycles\": %d, \
-       \"parallel_sim_cycles\": %d, \"objects\": %d, \"eager_host_ns\": %d, \
-       \"parallel_host_ns\": %d, \"host_speedup\": %.2f, \
-       \"incremental_outage_cycles\": %d, \
-       \"incremental_background_cycles\": %d, \"jobs_identity\": true },\n"
-     rs_big_eager.RS.outage_cycles rs_big_par.RS.outage_cycles rs_big
-     (rs_host_ns rs_big_eager) (rs_host_ns rs_big_par) rs_speedup
-     inc60.RS.outage_cycles inc60.RS.background_cycles);
+    sv_rec.Service.Serve.rescued_lines sv_served sv_shed sv_timed_out;
+  pf "    \"recovery_scaling\": { \"sim_cycles\": %d, \
+      \"parallel_sim_cycles\": %d, \"objects\": %d, \
+      \"incremental_outage_cycles\": %d, \
+      \"incremental_background_cycles\": %d, \"jobs_identity\": true },\n"
+    rs_big_eager.RS.outage_cycles rs_big_par.RS.outage_cycles rs_big
+    inc60.RS.outage_cycles inc60.RS.background_cycles;
   pf "    \"fence_frontier\": { \"sim_cycles\": %d, \
       \"nvtraverse_flushes_per_op\": %.3f, \"logflush_flushes_per_op\": %.3f, \
       \"nonblocking_flushes_per_op\": %.3f, \"nvtraverse_miters\": %.2f, \
-      \"logflush_miters\": %.2f, \"jobs1_host_ns\": %d, \
-      \"jobsn_host_ns\": %d, \"jobs_identity\": true },\n"
+      \"logflush_miters\": %.2f, \"jobs_identity\": true },\n"
     (List.fold_left
        (fun a (r : Workload.Frontier.row) ->
          a + r.Workload.Frontier.elapsed_cycles)
@@ -1084,13 +644,12 @@ let run_quick ~jobs ~out ~compare_mode =
     ff_nvt.Workload.Frontier.flushes_per_op
     ff_lf.Workload.Frontier.flushes_per_op
     ff_nb.Workload.Frontier.flushes_per_op ff_nvt.Workload.Frontier.miters
-    ff_lf.Workload.Frontier.miters ff_j1_ns ff_jn_ns;
+    ff_lf.Workload.Frontier.miters;
   pf "    \"hist_instrumentation\": { \"sim_cycles\": %d, \
-       \"traced_sim_cycles_match\": true, \"adds\": %d, \"host_ns\": %d, \
+       \"traced_sim_cycles_match\": true, \"adds\": %d, \
        \"minor_words\": %.0f, \"minor_words_per_add\": %.4f, \"p50\": %d, \
        \"p99\": %d, \"p999\": %d }\n"
-    tc_on.Workload.Runner.elapsed_cycles hi_ops hi_ns hi_words
-    hi_words_per_op
+    tc_on.Workload.Runner.elapsed_cycles hi_ops hi_words hi_words_per_op
     (Obs.Hist.quantile hi_h 0.5)
     (Obs.Hist.quantile hi_h 0.99)
     (Obs.Hist.quantile hi_h 0.999);
@@ -1099,82 +658,49 @@ let run_quick ~jobs ~out ~compare_mode =
   let oc = open_out out in
   output_string oc (Buffer.contents b);
   close_out oc;
-  Fmt.pr "quick bench: %d cells -> %s@." (List.length cells + 1) out;
-  Fmt.pr "  sched fast path: %.2fx host speedup (identical sim cycles)@."
-    (float_of_int fast_off_ns /. float_of_int (max 1 fast_on_ns));
+  Fmt.pr "quick bench: snapshot -> %s@." out;
+  Fmt.pr "  device fast path: %.4f minor words/op@." raw_words_per_op;
+  Fmt.pr "  history recording: %d ops recorded (identical sim cycles)@." hr_ops;
+  Fmt.pr "  event tracing: %d events emitted (identical sim cycles)@." tc_events;
   Fmt.pr
-    "  soa/unboxed access: %.2fx host speedup, %.4f minor words/op \
-     (identical sim cycles)@."
-    (float_of_int soa_off_ns /. float_of_int (max 1 soa_on_ns))
-    raw_words_per_op;
-  Fmt.pr "  sweep suite --jobs %d vs --jobs 1: %.2fx (host has %d cores)@."
-    jobs
-    (float_of_int suite_j1_ns /. float_of_int (max 1 suite_jn_ns))
-    (Workload.Parallel.default_jobs ());
+    "  quantum batching: %d steps, identical to the slice fast path, %.0f vs \
+     %.0f minor words@."
+    (snd qb_on) qb_on_words qb_slice_words;
+  Fmt.pr "  quantum crash campaign: %d crash points, no unexpected violation@."
+    qc.Workload.Fault_injector.total;
   Fmt.pr
-    "  history recording: %.2fx host overhead, %d ops recorded (identical \
-     sim cycles)@."
-    (float_of_int hr_on_ns /. float_of_int (max 1 hr_off_ns))
-    hr_ops;
-  Fmt.pr
-    "  event tracing: %.2fx host overhead, %d events emitted (identical sim \
-     cycles)@."
-    (float_of_int tc_on_ns /. float_of_int (max 1 tc_off_ns))
-    tc_events;
-  Fmt.pr
-    "  quantum batching: %.2fx host speedup vs per-op scheduling, %.2fx vs \
-     slice-only (identical sim cycles)@."
-    qb_speedup
-    (float_of_int qb_slice_ns /. float_of_int (max 1 qb_on_ns));
-  Fmt.pr
-    "  quantum crash campaign: %d crash points, identical verdict ledger, \
-     %.2fx host speedup@."
-    qc_on.Workload.Fault_injector.total
-    (float_of_int qc_off_ns /. float_of_int (max 1 qc_on_ns));
-  Fmt.pr
-    "  shard service: victim down %d cycles (%d lines rescued), survivors \
-     byte-identical to the crash-free run@."
+    "  shard service: victim down %d cycles (%d lines rescued), DL check \
+     passed@."
     sv_rec.Service.Serve.recovery_cycles sv_rec.Service.Serve.rescued_lines;
   Fmt.pr
-    "  recovery at scale: 10^6 objects, %.2fx host speedup parallel vs \
-     eager (identical heap images; incremental outage %d cycles vs %d)@."
-    rs_speedup
-    (let _, _, _, inc60 = List.nth rs_curve 1 in
-     inc60.RS.outage_cycles)
-    (let _, eager60, _, _ = List.nth rs_curve 1 in
-     eager60.RS.outage_cycles);
+    "  recovery at scale: identical heap images up to 10^6 objects; \
+     incremental outage %d cycles vs eager %d@."
+    inc60.RS.outage_cycles eager60.RS.outage_cycles;
   Fmt.pr
     "  fence frontier: nvtraverse %.3f flushes/op at %.2f Miters/s vs \
      log-flush %.3f at %.2f (rows identical across --jobs)@."
     ff_nvt.Workload.Frontier.flushes_per_op ff_nvt.Workload.Frontier.miters
     ff_lf.Workload.Frontier.flushes_per_op ff_lf.Workload.Frontier.miters;
-  Fmt.pr
-    "  hist instrumentation: %.1f ns/add, %.4f minor words/add (traced run \
-     sim-cycle-identical to untraced)@."
-    (float_of_int hi_ns /. float_of_int hi_ops)
-    hi_words_per_op;
-  compare_with_previous ~out ~mode:compare_mode
+  Fmt.pr "  hist instrumentation: %.4f minor words/add@." hi_words_per_op
 
 (* --- Entry point --- *)
 
 let usage () =
   prerr_endline
-    "usage: bench [--quick] [--jobs N|auto] [--out FILE] [--compare FILE] \
-     [--no-compare]\n\
-     \  (no flags)      full run: paper reproduction + Bechamel microbenchmarks\n\
-     \  --quick         reduced cell set; writes a BENCH JSON snapshot and exits\n\
+    "usage: bench [--quick] [--jobs N|auto] [--out FILE]\n\
+     \  (no flags)      full run: the paper reproduction (simulated time)\n\
+     \  --quick         deterministic witness: writes a sim-cycles JSON\n\
+     \                  snapshot and enforces the identity and allocation\n\
+     \                  gates (host time: python3 perfbench/run.py)\n\
      \  --jobs N|auto   fan independent cells across N domains; auto (the\n\
      \                  default) clamps to the host's cores and runs\n\
      \                  sequentially when that is 1\n\
-     \  --out FILE      where --quick writes its JSON (default BENCH_9.json)\n\
-     \  --compare FILE  diff --quick host throughput against FILE instead of\n\
-     \                  the newest committed BENCH_*.json\n\
-     \  --no-compare    skip the throughput delta report";
+     \  --out FILE      where --quick writes its JSON (default\n\
+     \                  bench_quick.json)";
   exit 2
 
 let () =
-  let quick = ref false and jobs = ref None and out = ref "BENCH_9.json" in
-  let compare_mode = ref Auto in
+  let quick = ref false and jobs = ref None and out = ref "bench_quick.json" in
   let rec parse = function
     | [] -> ()
     | "--quick" :: rest -> quick := true; parse rest
@@ -1185,20 +711,12 @@ let () =
         | _ -> usage ()
       end
     | "--out" :: f :: rest -> out := f; parse rest
-    | "--compare" :: f :: rest -> compare_mode := Compare_with f; parse rest
-    | "--no-compare" :: rest -> compare_mode := No_compare; parse rest
     | _ -> usage ()
   in
   parse (List.tl (Array.to_list Sys.argv));
-  if !quick then run_quick ~jobs:!jobs ~out:!out ~compare_mode:!compare_mode
+  if !quick then run_quick ~jobs:!jobs ~out:!out
   else begin
     reproduce_table1 ?jobs:!jobs ();
     reproduce_sweeps ?jobs:!jobs ();
-    reproduce_fault_summary ?jobs:!jobs ();
-    Fmt.pr "==================================================================@.";
-    Fmt.pr "Part 2: Bechamel microbenchmarks (host wall time of the simulator)@.";
-    Fmt.pr "==================================================================@.@.";
-    run_bechamel
-      (bench_pmem_ops () @ bench_heap_ops () @ bench_skiplist_ops ()
-     @ bench_undo_log () @ bench_table1_cells ())
+    reproduce_fault_summary ?jobs:!jobs ()
   end

@@ -87,7 +87,9 @@ let () =
   Nvm.Pmem.recover pmem;
   let heap = Heap.attach pmem ~base:0 ~size:log_base in
   let report = Atlas.Recovery.run ~heap ~log_base () in
-  ignore (Pheap.Heap_gc.collect heap);
+  ignore
+    (Pheap.Heap_gc.collect_graceful heap
+      : Pheap.Heap_gc.stats * Pheap.Heap_gc.quarantine);
   Fmt.pr "@.recovery: %a@.@." Atlas.Recovery.pp_report report;
 
   (* Every recovered value must be a COMPLETE payload from some client:

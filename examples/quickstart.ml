@@ -59,7 +59,7 @@ let () =
   (* Recover: re-attach, let the recovery GC rebuild allocator state. *)
   Pmem.recover pmem;
   let heap = Heap.attach pmem ~base:0 ~size in
-  let gc = Pheap.Heap_gc.collect heap in
+  let gc, _quarantine = Pheap.Heap_gc.collect_graceful heap in
   Fmt.pr "@.after recovery: root list = %a@."
     Fmt.(Dump.list int)
     (to_list heap (Heap.get_root heap));

@@ -9,8 +9,8 @@
     being rolled back — and applies the affected [Update] entries in
     reverse global order.  It finishes by persisting its own repairs.
 
-    Callers normally follow with {!Pheap.Heap_gc.collect} to reclaim
-    objects orphaned by the crash or by the rollback itself, and with
+    Callers normally follow with {!Pheap.Heap_gc.collect_graceful} to
+    reclaim objects orphaned by the crash or by the rollback itself, and with
     {!Undo_log.format} (via a fresh {!Runtime.create}) before resuming. *)
 
 type verdict =

@@ -36,7 +36,8 @@ val create : Nvm.Pmem.t -> base:int -> size:int -> t
 val attach : Nvm.Pmem.t -> base:int -> size:int -> t
 (** Re-attach to an existing heap, e.g. after {!Nvm.Pmem.recover}.
     Validates the heap magic and bump pointer; does {e not} run the GC
-    (call {!Heap_gc.collect} to rebuild free lists and reclaim leaks).
+    (call {!Heap_gc.collect_graceful} to rebuild free lists and reclaim
+    leaks).
     @raise Corrupt if the header is damaged. *)
 
 val pmem : t -> Nvm.Pmem.t

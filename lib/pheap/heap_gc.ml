@@ -50,96 +50,18 @@ module Istack = struct
   let is_empty t = t.n = 0
 end
 
-let mark heap =
-  let pmem = Heap.pmem heap in
-  let marks = Nvm.Intset.create ~capacity:4096 () in
-  let dangling = ref 0 in
-  let load a = Nvm.Pmem.load pmem a in
-  let stack = Istack.create () in
-  let push a =
-    let a = strip_tag a in
-    if a <> Heap.null && not (Nvm.Intset.mem marks a) then
-      if Heap.is_object_start heap a then begin
-        ignore (Nvm.Intset.add marks a : bool);
-        Istack.push stack a
-      end
-      else incr dangling
-  in
-  push (Heap.get_root heap);
-  while not (Istack.is_empty stack) do
-    let a = Istack.pop stack in
-    let kind = Heap.kind_of heap a in
-    let words = Heap.words_of heap a in
-    let scan = Kind.scan_object ~kind in
-    List.iter push (scan ~load ~addr:a ~words)
-  done;
-  (marks, !dangling)
-
-let collect heap =
-  let c0 = clock heap in
-  let marks, dangling_refs =
-    in_phase heap ~phase:Obs.Event.phase_gc_mark (fun () -> mark heap)
-  in
-  let c1 = clock heap in
-  let live_objects = ref 0 in
-  let live_words = ref 0 in
-  let freed_objects = ref 0 in
-  let freed_words = ref 0 in
-  let free_blocks = ref [] in
-  (* Accumulate a run of contiguous dead/free blocks, then emit it as one
-     coalesced free block.  [run_start] is the data address the coalesced
-     block will have; its size swallows the headers of all merged blocks
-     except the first. *)
-  let run_start = ref 0 in
-  let run_end = ref 0 in
-  let flush_run () =
-    if !run_start <> 0 then begin
-      let words = (!run_end - !run_start) / Layout.word_size in
-      free_blocks := (!run_start, words) :: !free_blocks;
-      freed_words := !freed_words + words;
-      run_start := 0
-    end
-  in
-  in_phase heap ~phase:Obs.Event.phase_gc_sweep (fun () ->
-      Heap.iter_blocks heap (fun ~addr ~kind ~words ->
-          let dead = kind <> Layout.kind_free && not (Nvm.Intset.mem marks addr) in
-          if Nvm.Intset.mem marks addr then begin
-            flush_run ();
-            incr live_objects;
-            live_words := !live_words + words
-          end
-          else begin
-            if dead then incr freed_objects;
-            if !run_start = 0 then run_start := addr;
-            run_end := addr + (words * Layout.word_size)
-          end);
-      flush_run ();
-      Heap.reset_allocator heap ~free:!free_blocks);
-  let c2 = clock heap in
-  {
-    live_objects = !live_objects;
-    live_words = !live_words;
-    freed_objects = !freed_objects;
-    freed_words = !freed_words;
-    coalesced_blocks = List.length !free_blocks;
-    dangling_refs;
-    mark_cycles = c1 - c0;
-    sweep_cycles = c2 - c1;
-  }
-
-let reachable heap = fst (mark heap)
-
 type quarantine = {
   unscannable : int;
   quarantined_words : int;
   reasons : string list;
 }
 
-(* [mark] hardened: pushes are already gated by [is_object_start] (no
-   raise possible), but scanning a marked object can still blow up on an
-   adversarial image — an unregistered kind byte, or a header size so
-   large that field loads leave the region.  Keep such objects marked
-   (never free what we cannot parse) but do not traverse them. *)
+(* The eager mark: a DFS from the root through the costed device path.
+   Pushes are gated by [is_object_start] (no raise possible), but
+   scanning a marked object can still blow up on an adversarial image —
+   an unregistered kind byte, or a header size so large that field loads
+   leave the region.  Keep such objects marked (never free what we
+   cannot parse) but do not traverse them. *)
 let mark_graceful heap =
   let pmem = Heap.pmem heap in
   let marks = Nvm.Intset.create ~capacity:4096 () in
@@ -172,6 +94,10 @@ let mark_graceful heap =
   done;
   (marks, !dangling, !unscannable, List.rev !reasons)
 
+let reachable heap =
+  let marks, _, _, _ = mark_graceful heap in
+  marks
+
 let collect_graceful heap =
   let c0 = clock heap in
   let marks, dangling_refs, unscannable, mark_reasons =
@@ -183,6 +109,10 @@ let collect_graceful heap =
   let freed_objects = ref 0 in
   let freed_words = ref 0 in
   let free_blocks = ref [] in
+  (* Accumulate a run of contiguous dead/free blocks, then emit it as one
+     coalesced free block.  [run_start] is the data address the coalesced
+     block will have; its size swallows the headers of all merged blocks
+     except the first. *)
   let run_start = ref 0 in
   let run_end = ref 0 in
   let flush_run () =

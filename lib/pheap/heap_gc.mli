@@ -7,8 +7,8 @@
     collector that runs during recovery rather than by making the
     allocator itself failure-atomic.
 
-    [collect] marks from the heap root using the {!Kind} registry's scan
-    functions, then sweeps the whole span linearly: runs of dead and free
+    {!collect_graceful} marks from the heap root using the {!Kind}
+    registry's scan functions, then sweeps the whole span linearly: runs of dead and free
     blocks are coalesced into single free blocks and handed back to the
     allocator.  All reads and writes go through the costed device path, so
     recovery time shows up in the simulated clock — TSP moves work to
@@ -41,12 +41,6 @@ type stats = {
           matches the tracer's [gc_sweep] phase *)
 }
 
-val collect : Heap.t -> stats
-(** @raise Heap.Corrupt if the heap cannot even be parsed. *)
-
-val reachable : Heap.t -> Nvm.Intset.t
-(** The mark set: every object reachable from the root. *)
-
 type quarantine = {
   unscannable : int;
       (** reachable objects that could not be traversed (unregistered
@@ -58,12 +52,16 @@ type quarantine = {
 }
 
 val collect_graceful : Heap.t -> stats * quarantine
-(** {!collect} for adversarial images: never raises.  Objects whose
-    scan blows up stay marked but untraversed; if the block chain stops
-    parsing partway, the blocks before the damage sweep normally and
-    the tail is quarantined — withheld from the allocator rather than
-    reused.  On a healthy heap this is exactly [collect] with an empty
-    quarantine. *)
+(** The eager collector, safe on adversarial images: never raises.
+    Objects whose scan blows up stay marked but untraversed; if the
+    block chain stops parsing partway, the blocks before the damage
+    sweep normally and the tail is quarantined — withheld from the
+    allocator rather than reused.  On a healthy heap the quarantine is
+    empty. *)
+
+val reachable : Heap.t -> Nvm.Intset.t
+(** The mark set of {!collect_graceful}: every object reachable from the
+    root (unscannable objects included, untraversed). *)
 
 val collect_streamed :
   ?fanout:((unit -> unit) list -> unit) -> Heap.t -> stats * quarantine

@@ -109,15 +109,17 @@ type config = {
           quanta, so bursts of uncontended loads/stores charge the
           thread clock without re-entering the scheduler.  A host-speed
           knob only: steps, clocks, interleavings, crash points, traces
-          and histories are bit-identical with it on or off (the
-          [quantum_batching] bench cell and [test_quantum.ml] assert
-          this). *)
+          and histories are bit-identical with it on or off
+          ([test_quantum.ml] asserts this against suspend-per-step
+          execution, the [quantum_batching] cell of [bench --quick]
+          against the slice fast path). *)
   deterministic_slice : int;
       (** (default {!Sched.Scheduler.default_slice}) the scheduler's
           inline-step slice; [0] reproduces the historical
           suspend-per-step execution (and starves quantum grants, whose
           budgets never exceed the slice).  Host-speed only, like
-          [quantum]. *)
+          [quantum]; [test_determinism.ml] asserts the slow path
+          observationally identical. *)
 }
 
 val default_config : config

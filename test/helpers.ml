@@ -50,6 +50,15 @@ let run_threads_s ?seed ?crash_at_step pmem bodies =
     ~finally:(fun () -> Pmem.clear_step_hook pmem)
     (fun () -> Scheduler.run ?crash_at_step sched)
 
+(* The eager recovery GC on a heap the test expects to be healthy:
+   nothing may be unscannable or quarantined. *)
+let collect_clean heap =
+  let stats, q = Pheap.Heap_gc.collect_graceful heap in
+  Alcotest.(check (list string)) "empty GC quarantine" [] q.Pheap.Heap_gc.reasons;
+  Alcotest.(check int) "no unscannable objects" 0 q.Pheap.Heap_gc.unscannable;
+  Alcotest.(check int) "no quarantined words" 0 q.Pheap.Heap_gc.quarantined_words;
+  stats
+
 let check_raises_invalid name f =
   Alcotest.check_raises name (Invalid_argument "") (fun () ->
       try f () with Invalid_argument _ -> raise (Invalid_argument ""))

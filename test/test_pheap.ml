@@ -226,7 +226,7 @@ let test_gc_reclaims_garbage () =
   let _garbage = alloc_cell heap Heap.null in
   let _garbage2 = Heap.alloc heap ~kind:Kind.raw ~words:5 in
   Heap.set_root heap live;
-  let stats = Heap_gc.collect heap in
+  let stats = collect_clean heap in
   Alcotest.(check int) "one live" 1 stats.Heap_gc.live_objects;
   Alcotest.(check int) "two freed" 2 stats.Heap_gc.freed_objects;
   Alcotest.(check int) "no dangling" 0 stats.Heap_gc.dangling_refs;
@@ -240,7 +240,7 @@ let test_gc_preserves_reachable_chain () =
   let c2 = alloc_cell heap c3 in
   let c1 = alloc_cell heap c2 in
   Heap.set_root heap c1;
-  let stats = Heap_gc.collect heap in
+  let stats = collect_clean heap in
   Alcotest.(check int) "chain live" 3 stats.Heap_gc.live_objects;
   Alcotest.(check int) "nothing freed" 0 stats.Heap_gc.freed_objects;
   Alcotest.check int64 "chain intact" (Int64.of_int c3)
@@ -252,14 +252,14 @@ let test_gc_handles_cycles () =
   let b = alloc_cell heap a in
   Heap.store_field_int heap a 1 b (* a <-> b *);
   Heap.set_root heap a;
-  let stats = Heap_gc.collect heap in
+  let stats = collect_clean heap in
   Alcotest.(check int) "cycle live" 2 stats.Heap_gc.live_objects
 
 let test_gc_null_root_frees_all () =
   let _, heap = small_heap () in
   ignore (alloc_cell heap Heap.null);
   ignore (alloc_cell heap Heap.null);
-  let stats = Heap_gc.collect heap in
+  let stats = collect_clean heap in
   Alcotest.(check int) "none live" 0 stats.Heap_gc.live_objects;
   Alcotest.(check int) "all freed" 2 stats.Heap_gc.freed_objects
 
@@ -268,7 +268,7 @@ let test_gc_counts_dangling () =
   let a = alloc_cell heap Heap.null in
   Heap.store_field_int heap a 1 (Heap.end_addr heap + 64) (* wild pointer *);
   Heap.set_root heap a;
-  let stats = Heap_gc.collect heap in
+  let stats = collect_clean heap in
   Alcotest.(check int) "dangling counted" 1 stats.Heap_gc.dangling_refs
 
 let test_gc_marked_pointers_followed () =
@@ -279,7 +279,7 @@ let test_gc_marked_pointers_followed () =
   Heap.store_field_int heap a 0 (target lor 1) (* marked pointer *);
   Heap.store_field heap a 1 0L;
   Heap.set_root heap a;
-  let stats = Heap_gc.collect heap in
+  let stats = collect_clean heap in
   Alcotest.(check int) "both live" 2 stats.Heap_gc.live_objects;
   Alcotest.(check int) "no dangling" 0 stats.Heap_gc.dangling_refs
 
@@ -289,7 +289,7 @@ let test_gc_rebuilds_allocator () =
   let dead = Heap.alloc heap ~kind:Kind.raw ~words:6 in
   ignore (dead : int);
   Heap.set_root heap keep;
-  ignore (Heap_gc.collect heap);
+  ignore (collect_clean heap);
   (* The swept space must satisfy an allocation without bump growth. *)
   let end_before = Heap.end_addr heap in
   let b = Heap.alloc heap ~kind:Kind.raw ~words:6 in
@@ -382,7 +382,7 @@ let prop_gc_preserves_exactly_reachable =
         | _ -> acc
       in
       let live = chain (n - 1) [] in
-      let stats = Heap_gc.collect heap in
+      let stats = collect_clean heap in
       stats.Heap_gc.live_objects = List.length (List.sort_uniq compare live)
       && stats.Heap_gc.freed_objects = n - List.length (List.sort_uniq compare live))
 
