@@ -184,8 +184,3 @@ let fold_blocks_checked t f =
     end
   in
   go (start_addr t)
-
-let iter_blocks t f =
-  match fold_blocks_checked t f with
-  | Ok () -> ()
-  | Error (_, msg) -> raise (Corrupt msg)

@@ -104,17 +104,14 @@ val is_object_start : t -> addr -> bool
 (** Cost-free check that a valid, non-free object header precedes
     [addr]. *)
 
-val iter_blocks : t -> (addr:addr -> kind:int -> words:int -> unit) -> unit
-(** Walk every block (live and free) in address order, reading headers
-    through the costed load path — recovery work is real work.
-    @raise Corrupt on an invalid header. *)
-
 val fold_blocks_checked :
   t ->
   (addr:addr -> kind:int -> words:int -> unit) ->
   (unit, int * string) result
-(** {!iter_blocks} for adversarial images: instead of raising on the
-    first invalid or overrunning header it stops there and returns
+(** Walk every block (live and free) in address order, reading headers
+    through the costed load path — recovery work is real work.  Made
+    for adversarial images: instead of raising on the first invalid or
+    overrunning header it stops there and returns
     [Error (header_addr, diagnosis)] — everything before [header_addr]
     was walked normally, everything from it to the heap end is
     unparseable and should be quarantined, not reused. *)

@@ -1,14 +1,17 @@
-type runnable =
-  | Fresh of (unit -> unit)
-  | Suspended of (unit, unit) Effect.Deep.continuation
-
-type thread_state = Runnable of runnable | Running | Blocked | Done
+(* [Fresh] threads start by running [body]; [Suspended] and [Blocked]
+   ones resume at [k].  Keeping the continuation in a mutable field
+   rather than in the constructor makes a context switch allocate
+   nothing beyond the continuation the runtime itself builds. *)
+type thread_state = Fresh | Suspended | Running | Blocked | Done
 
 type thread = {
   id : int;
   name : string;
+  body : unit -> unit;
   mutable vclock : int;
   mutable state : thread_state;
+  mutable k : (unit, unit) Effect.Deep.continuation;
+      (* valid in [Suspended] and [Blocked]; stale otherwise *)
 }
 
 type t = {
@@ -25,9 +28,19 @@ type t = {
       (* remaining steps the current thread may charge inline before the
          next forced suspension; refilled to [deterministic_slice] each
          time the scheduler resumes a thread *)
+  mutable horizon : int;
+      (* minimum vclock over the other runnable threads, taken when the
+         current thread was resumed with [deterministic_slice > 0] and
+         another thread runnable; [min_int] otherwise, or once a mutex
+         hand-off invalidates it.  A charge leaving the caller strictly
+         below it means [pick] would re-pick the caller. *)
+  mutable prefix : int array;
+  mutable prefix_len : int;
+      (* the tie-draw bounds [pick] draws while scanning the threads
+         before the current one, in scan order; see [arm_horizon] *)
   mutable runnable_count : int;
-      (* threads in state [Runnable] or [Running]; the step fast path is
-         legal exactly when this is 1 (the caller itself) *)
+      (* threads in state [Fresh], [Suspended] or [Running]; when this
+         is 1 (the caller itself) [step] charges inline with no pick *)
   mutable steps : int;
   mutable crash_at_step : int option;
   mutable crashed : bool;
@@ -73,19 +86,46 @@ type outcome =
 type mutex = {
   mid : int;
   sched : t;
-  mutable owner : int option;
-  waiters : (thread * (unit, unit) Effect.Deep.continuation) Queue.t;
+  mutable owner : int;  (* holder's thread id; -1 when free *)
+  waiters : thread Queue.t;  (* each resumes at its [k] *)
 }
 
+(* Constant effects, so performing one allocates nothing.  The performer
+   has already done its bookkeeping: charged its step, or queued itself
+   on the mutex it blocks on. *)
 type _ Effect.t +=
-  | Step_eff : int -> unit Effect.t
-  | Block_eff : mutex -> unit Effect.t
+  | Suspend_eff : unit Effect.t
+  | Block_eff : unit Effect.t
+  | Crash_eff : unit Effect.t
 
 let default_slice = 4096
 
+(* A continuation that is never resumed: the [k] of threads that have
+   not suspended yet. *)
+let no_k : (unit, unit) Effect.Deep.continuation =
+  let k : (unit, unit) Effect.Deep.continuation option ref = ref None in
+  Effect.Deep.try_with Effect.perform Suspend_eff
+    {
+      effc =
+        (fun (type a) (eff : a Effect.t) ->
+          match eff with
+          | Suspend_eff ->
+              Some (fun (c : (a, unit) Effect.Deep.continuation) -> k := Some c)
+          | _ -> None);
+    };
+  Option.get !k
+
 (* Placeholder for [q_thread] while no quantum is held.  Never charged:
    [q_budget] is 0 whenever it is installed. *)
-let no_thread = { id = -1; name = "<no-quantum>"; vclock = 0; state = Done }
+let no_thread =
+  {
+    id = -1;
+    name = "<no-quantum>";
+    body = ignore;
+    vclock = 0;
+    state = Done;
+    k = no_k;
+  }
 
 let create ?(seed = 42) ?(cost_jitter = 0) ?(deterministic_slice = default_slice)
     ?(quantum = true) () =
@@ -101,6 +141,9 @@ let create ?(seed = 42) ?(cost_jitter = 0) ?(deterministic_slice = default_slice
       cost_jitter;
       deterministic_slice;
       fast_budget = 0;
+      horizon = min_int;
+      prefix = [||];
+      prefix_len = 0;
       runnable_count = 0;
       steps = 0;
       crash_at_step = None;
@@ -139,7 +182,7 @@ let spawn t ?name f =
   if t.started then invalid_arg "Scheduler.spawn: scheduler already ran";
   let id = t.n_threads in
   let name = Option.value name ~default:(Printf.sprintf "thread-%d" id) in
-  let th = { id; name; vclock = 0; state = Runnable (Fresh f) } in
+  let th = { id; name; body = f; vclock = 0; state = Fresh; k = no_k } in
   t.pending_rev <- th :: t.pending_rev;
   t.n_threads <- t.n_threads + 1;
   t.runnable_count <- t.runnable_count + 1;
@@ -210,7 +253,7 @@ let[@inline] quantum_try_charge q ~cost =
    only runnable thread (no interleaving, no tie-break draws), within
    the deterministic slice (same forced-suspension cadence), and the
    budget is clamped so the step that would open the crash window — and
-   every step after it — still goes through the effect handler. *)
+   every step after it — still goes through [step]. *)
 let[@inline] maybe_grant t =
   if t.quantum_on && t.runnable_count = 1 && t.current >= 0 then begin
     let budget =
@@ -233,32 +276,46 @@ let[@inline] maybe_grant t =
 let null_quantum = (create ()).quantum
 
 (* The hot path of the whole simulator: one call per simulated memory
-   access.  When the calling thread is the only runnable one — every
-   single-thread cell, and the tail of every multi-thread run — going
-   through [Effect.perform] buys nothing: the handler would charge the
-   cost and the scheduler loop would immediately re-pick the same thread
-   (with no RNG draw, since there is no tie to break).  So in that case
-   the accounting is done inline, with exactly the state updates and RNG
-   draws the handler would have made, and the fiber never suspends.
+   access.  Its contract is "charge, suspend, let the run loop resume
+   the runnable thread with the minimum clock".  Whenever that loop
+   would provably hand the CPU straight back to the caller, the round
+   trip through [Effect.perform] buys nothing, so the pick's state
+   updates and RNG draws are done inline instead:
 
-   The fast path is skipped when the next step could trigger the crash
-   window, so crash injection always goes through the handler, which
-   abandons the continuation — observable crash states are unchanged. *)
+   - one runnable thread (every single-thread run, and the tail of a
+     multi-thread one): the pick has one candidate and draws nothing,
+     so the step only counts down the [deterministic_slice] budget that
+     forces a periodic trip through the loop;
+   - several runnable threads: the caller is re-picked exactly when its
+     new clock stays strictly below [t.horizon], and the pick's only
+     draws are then the prefix ties recorded by [arm_horizon], which
+     are replayed with the same bounds in the same order.
+
+   [deterministic_slice = 0] suspends on every step: the reference the
+   fast roads are checked against. *)
 let step t ~cost =
   settle_quantum t.quantum;
   let th = current_thread t in
-  let crash_imminent =
-    match t.crash_at_step with Some c -> t.steps + 1 >= c | None -> false
+  let jitter =
+    if t.cost_jitter > 0 then Sim_rng.int t.rng (t.cost_jitter + 1) else 0
   in
-  if t.runnable_count = 1 && t.fast_budget > 0 && not crash_imminent then begin
-    let jitter =
-      if t.cost_jitter > 0 then Sim_rng.int t.rng (t.cost_jitter + 1) else 0
-    in
-    th.vclock <- th.vclock + cost + jitter;
-    t.steps <- t.steps + 1;
+  th.vclock <- th.vclock + cost + jitter;
+  t.steps <- t.steps + 1;
+  (match t.crash_at_step with
+  | Some c when t.steps >= c ->
+      (* Never returns: the operation that would have followed this step
+         never executes, and neither does anything else in any thread. *)
+      Effect.perform Crash_eff
+  | Some _ | None -> ());
+  if t.runnable_count = 1 && t.fast_budget > 0 then
     t.fast_budget <- t.fast_budget - 1
+  else if th.vclock < t.horizon then begin
+    for j = 0 to t.prefix_len - 1 do
+      ignore (Sim_rng.int t.rng t.prefix.(j) : int)
+    done;
+    t.fast_budget <- t.deterministic_slice
   end
-  else Effect.perform (Step_eff cost);
+  else Effect.perform Suspend_eff;
   (* Reaching here means the charge completed without a crash — offer
      the device layer a fresh burst (this also re-grants right after a
      resumption, since [perform] returns into this frame). *)
@@ -280,8 +337,26 @@ let is_crashed t = t.crashed
 
 (* One deep handler is installed per fiber at its first resumption; every
    later [continue] re-enters it, so the closed-over [th] is always the
-   fiber's own record. *)
+   fiber's own record.  The effect cases are built once here, so
+   handling an effect allocates nothing. *)
 let handler t th =
+  let on_suspend =
+    Some
+      (fun (k : (unit, unit) Effect.Deep.continuation) ->
+        th.state <- Suspended;
+        th.k <- k)
+  in
+  let on_block =
+    Some
+      (fun (k : (unit, unit) Effect.Deep.continuation) ->
+        th.state <- Blocked;
+        th.k <- k;
+        t.runnable_count <- t.runnable_count - 1)
+  in
+  (* Abandons the continuation, and with it every thread. *)
+  let on_crash =
+    Some (fun (_ : (unit, unit) Effect.Deep.continuation) -> t.crashed <- true)
+  in
   {
     Effect.Deep.retc =
       (fun () ->
@@ -296,116 +371,130 @@ let handler t th =
         if t.failure = None then
           t.failure <- Some (e, Printexc.get_raw_backtrace ()));
     effc =
-      (fun (type a) (eff : a Effect.t) ->
+      (fun (type a) (eff : a Effect.t) :
+           ((a, unit) Effect.Deep.continuation -> unit) option ->
         match eff with
-        | Step_eff cost ->
-            Some
-              (fun (k : (a, unit) Effect.Deep.continuation) ->
-                let jitter =
-                  if t.cost_jitter > 0 then Sim_rng.int t.rng (t.cost_jitter + 1)
-                  else 0
-                in
-                th.vclock <- th.vclock + cost + jitter;
-                t.steps <- t.steps + 1;
-                match t.crash_at_step with
-                | Some c when t.steps >= c ->
-                    (* Abandon the continuation: the operation that would
-                       have followed this step never executes, and neither
-                       does anything else in any thread. *)
-                    t.crashed <- true
-                | _ -> th.state <- Runnable (Suspended k))
-        | Block_eff m ->
-            Some
-              (fun (k : (a, unit) Effect.Deep.continuation) ->
-                (* Performed straight from [Mutex.lock], not via [step]:
-                   an outstanding quantum must be settled here. *)
-                settle_quantum t.quantum;
-                th.state <- Blocked;
-                t.runnable_count <- t.runnable_count - 1;
-                Queue.add (th, k) m.waiters)
+        | Suspend_eff -> on_suspend
+        | Block_eff -> on_block
+        | Crash_eff -> on_crash
         | _ -> None);
   }
 
+(* The runnable thread with the minimum clock, or -1 if there is none.
+   Clock ties are reservoir-sampled in index order, so equal-time
+   threads interleave differently across seeds. *)
 let pick t =
-  let best = ref None in
-  let ties = ref 0 in
-  Array.iter
-    (fun th ->
-      match th.state with
-      | Runnable _ -> begin
-          match !best with
-          | None ->
-              best := Some th;
-              ties := 1
-          | Some b ->
-              if th.vclock < b.vclock then begin
-                best := Some th;
-                ties := 1
-              end
-              else if th.vclock = b.vclock then begin
-                (* Reservoir-sample among clock ties so that equal-time
-                   threads interleave differently across seeds. *)
-                incr ties;
-                if Sim_rng.int t.rng !ties = 0 then best := Some th
-              end
+  let threads = t.threads in
+  let best = ref (-1) and best_clock = ref 0 and ties = ref 0 in
+  for i = 0 to Array.length threads - 1 do
+    let th = threads.(i) in
+    match th.state with
+    | Fresh | Suspended ->
+        if !best < 0 || th.vclock < !best_clock then begin
+          best := i;
+          best_clock := th.vclock;
+          ties := 1
         end
-      | Running | Blocked | Done -> ())
-    t.threads;
+        else if th.vclock = !best_clock then begin
+          incr ties;
+          if Sim_rng.int t.rng !ties = 0 then best := i
+        end
+    | Running | Blocked | Done -> ()
+  done;
   !best
+
+(* Called as thread [i] is resumed.  Until it next suspends, no other
+   thread's clock or state can change except through its own mutex
+   hand-off (which invalidates what this computes), so [pick] will
+   return [i] again exactly when [i]'s clock is below every other
+   runnable one, and its draws will be the tie draws it makes among the
+   threads scanned before [i].  Those bounds depend only on those
+   threads' clocks, not on the draws' outcomes, so they can be recorded
+   now and replayed later. *)
+let arm_horizon t i =
+  let threads = t.threads in
+  let horizon = ref max_int and best_clock = ref max_int in
+  let ties = ref 0 and n = ref 0 in
+  for j = 0 to Array.length threads - 1 do
+    let th = threads.(j) in
+    match th.state with
+    | (Fresh | Suspended) when j <> i ->
+        let c = th.vclock in
+        if c < !horizon then horizon := c;
+        if j < i then
+          if c < !best_clock then begin
+            best_clock := c;
+            ties := 1
+          end
+          else if c = !best_clock then begin
+            incr ties;
+            t.prefix.(!n) <- !ties;
+            incr n
+          end
+    | Fresh | Suspended | Running | Blocked | Done -> ()
+  done;
+  t.horizon <- !horizon;
+  t.prefix_len <- !n
 
 let run ?crash_at_step t =
   if t.started then invalid_arg "Scheduler.run: scheduler already ran";
   t.started <- true;
   freeze t;
+  t.prefix <- Array.make (Array.length t.threads) 0;
   t.crash_at_step <- crash_at_step;
   let rec loop () =
     if t.crashed then Crashed { at_step = t.steps }
     else
       match t.failure with
       | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-      | None -> begin
-          match pick t with
-          | None ->
-              let blocked =
-                Array.to_list t.threads
-                |> List.filter (fun th -> th.state = Blocked)
-                |> List.map (fun th -> th.name)
-              in
-              if blocked = [] then Completed else Deadlocked { blocked }
-          | Some th ->
-              t.current <- th.id;
-              t.fast_budget <- t.deterministic_slice;
-              (match t.tracer with
-              | Some tr when th.id <> t.last_resumed ->
-                  t.last_resumed <- th.id;
-                  Obs.Tracer.emit tr ~code:Obs.Event.ctx_switch ~a:th.id
-                    ~b:th.vclock
-              | Some _ | None -> ());
-              (match th.state with
-              | Runnable r -> begin
-                  th.state <- Running;
-                  match r with
-                  | Fresh f -> Effect.Deep.match_with f () (handler t th)
-                  | Suspended k -> Effect.Deep.continue k ()
-                end
-              | (Running | Blocked | Done) as st ->
-                  (* [pick] only ever returns [Runnable] threads; seeing
-                     anything else means the thread table was mutated
-                     behind the run loop's back (e.g. two schedulers
-                     wired to one device). *)
-                  Fmt.invalid_arg
-                    "Scheduler.run: picked thread %d (%s) is %s, not \
-                     runnable, at step %d (vclock %d)"
-                    th.id th.name
-                    (match st with
-                    | Running -> "already running"
-                    | Blocked -> "blocked"
-                    | Done -> "done"
-                    | Runnable _ -> "runnable")
-                    t.steps th.vclock);
-              t.current <- -1;
-              loop ()
-        end
+      | None ->
+          let i = pick t in
+          if i < 0 then begin
+            let blocked =
+              Array.to_list t.threads
+              |> List.filter (fun th -> th.state = Blocked)
+              |> List.map (fun th -> th.name)
+            in
+            if blocked = [] then Completed else Deadlocked { blocked }
+          end
+          else begin
+            let th = t.threads.(i) in
+            t.current <- i;
+            t.fast_budget <- t.deterministic_slice;
+            if t.deterministic_slice > 0 && t.runnable_count > 1 then
+              arm_horizon t i
+            else t.horizon <- min_int;
+            (match t.tracer with
+            | Some tr when i <> t.last_resumed ->
+                t.last_resumed <- i;
+                Obs.Tracer.emit tr ~code:Obs.Event.ctx_switch ~a:i
+                  ~b:th.vclock
+            | Some _ | None -> ());
+            (match th.state with
+            | Fresh ->
+                th.state <- Running;
+                Effect.Deep.match_with th.body () (handler t th)
+            | Suspended ->
+                th.state <- Running;
+                Effect.Deep.continue th.k ()
+            | (Running | Blocked | Done) as st ->
+                (* [pick] only ever returns runnable threads; seeing
+                   anything else means the thread table was mutated
+                   behind the run loop's back (e.g. two schedulers
+                   wired to one device). *)
+                Fmt.invalid_arg
+                  "Scheduler.run: picked thread %d (%s) is %s, not \
+                   runnable, at step %d (vclock %d)"
+                  th.id th.name
+                  (match st with
+                  | Running -> "already running"
+                  | Blocked -> "blocked"
+                  | Done -> "done"
+                  | Fresh | Suspended -> "runnable")
+                  t.steps th.vclock);
+            t.current <- -1;
+            loop ()
+          end
   in
   loop ()
 
@@ -415,43 +504,49 @@ module Mutex = struct
   let create t =
     let mid = t.next_mutex_id in
     t.next_mutex_id <- mid + 1;
-    { mid; sched = t; owner = None; waiters = Queue.create () }
+    { mid; sched = t; owner = -1; waiters = Queue.create () }
 
   let id m = m.mid
 
   let lock m =
     let me = current_thread m.sched in
-    match m.owner with
-    | Some o when o = me.id ->
-        Fmt.invalid_arg "Scheduler.Mutex.lock: %s already holds mutex %d"
-          me.name m.mid
-    | None -> m.owner <- Some me.id
-    | Some _ ->
-        (* Suspend; [unlock] hands ownership over before resuming us, so
-           on return the mutex is ours. *)
-        Effect.perform (Block_eff m)
+    let o = m.owner in
+    if o = me.id then
+      Fmt.invalid_arg "Scheduler.Mutex.lock: %s already holds mutex %d"
+        me.name m.mid
+    else if o < 0 then m.owner <- me.id
+    else begin
+      (* Suspend; [unlock] hands ownership over before resuming us, so
+         on return the mutex is ours.  An outstanding quantum must be
+         settled here: the block does not pass through [step]. *)
+      settle_quantum m.sched.quantum;
+      Queue.add me m.waiters;
+      Effect.perform Block_eff
+    end
 
   let unlock m =
     let me = current_thread m.sched in
-    match m.owner with
-    | Some o when o = me.id -> begin
-        match Queue.take_opt m.waiters with
-        | Some (th, k) ->
-            (* The wake makes a second thread runnable: any quantum the
-               releaser still holds is no longer uncontended — revoke it
-               so its next charge goes back through the effect path. *)
-            settle_quantum m.sched.quantum;
-            m.owner <- Some th.id;
-            (* The waiter could not have proceeded before the release, so
-               its clock jumps forward to the release instant. *)
-            th.vclock <- max th.vclock me.vclock;
-            th.state <- Runnable (Suspended k);
-            m.sched.runnable_count <- m.sched.runnable_count + 1
-        | None -> m.owner <- None
-      end
-    | Some _ | None ->
-        Fmt.invalid_arg "Scheduler.Mutex.unlock: %s does not hold mutex %d"
-          me.name m.mid
+    if m.owner <> me.id then
+      Fmt.invalid_arg "Scheduler.Mutex.unlock: %s does not hold mutex %d"
+        me.name m.mid
+    else if Queue.is_empty m.waiters then m.owner <- -1
+    else begin
+      let th = Queue.take m.waiters in
+      let t = m.sched in
+      (* The wake makes a second thread runnable: any quantum the
+         releaser still holds is no longer uncontended — revoke it so
+         its next charge goes back through the effect path — and the
+         woken thread may undercut or tie the releaser's clock, so the
+         re-pick horizon no longer holds. *)
+      settle_quantum t.quantum;
+      t.horizon <- min_int;
+      m.owner <- th.id;
+      (* The waiter could not have proceeded before the release, so its
+         clock jumps forward to the release instant. *)
+      if me.vclock > th.vclock then th.vclock <- me.vclock;
+      th.state <- Suspended;
+      t.runnable_count <- t.runnable_count + 1
+    end
 
-  let owner m = m.owner
+  let owner m = if m.owner < 0 then None else Some m.owner
 end

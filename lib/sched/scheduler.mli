@@ -18,15 +18,32 @@
     order and the costs reported, so a given (program, seed, crash point)
     triple always produces the same interleaving.
 
-    Uncontended fast path: when exactly one thread is runnable — every
-    single-thread run, and the tail of any run whose other threads have
-    finished or blocked — {!step} charges the thread's virtual clock
-    inline instead of suspending the fiber and re-entering the pick
-    loop.  The fast path performs the same state updates and the same
-    RNG draws the suspending path would (and is bypassed entirely when
-    the next step could open the crash window), so every observable —
-    step counts, clocks, interleavings, crash states — is bit-identical
-    with it on or off; see DESIGN.md, "Scheduler fast path". *)
+    Fast paths: {!step} skips the suspend-and-pick round trip whenever
+    the pick would provably hand the CPU straight back to the caller.
+
+    - Uncontended: when exactly one thread is runnable — every
+      single-thread run, and the tail of any run whose other threads
+      have finished or blocked — the pick has one candidate and draws
+      nothing, so the clock is charged inline.
+    - Inline re-pick: with several runnable threads, each resumption
+      records the {e horizon} (the minimum clock over the other
+      runnable threads) and the bounds of the tie draws the pick makes
+      while scanning the threads before the resumed one.  A charge that
+      leaves the caller {e strictly} below the horizon is exactly the
+      case where the pick returns the caller, and its only draws are
+      then those prefix ties, so they are replayed with the same bounds
+      in the same order and the caller carries on.  A charge reaching
+      the horizon suspends for a real pick.  Nothing but the caller can
+      change another thread's clock or state while it runs, except its
+      own mutex hand-off, which invalidates the horizon.
+
+    Both perform the same state updates and RNG draws the suspending
+    path would, and the step that reaches the crash point always hands
+    control to the effect handler, which abandons every thread, so every
+    observable — step counts, clocks, interleavings, crash states — is
+    bit-identical with them on or off.
+    [deterministic_slice = 0] turns both off and is the reference they
+    are tested against; see DESIGN.md, "Scheduler fast path". *)
 
 type t
 
@@ -53,10 +70,10 @@ val create :
 
     [deterministic_slice] (default 4096) bounds how many consecutive
     steps a lone runnable thread may charge inline before control is
-    forced back through the scheduler loop.  [0] disables the fast path
-    altogether, reproducing the historical suspend-per-step execution.
-    The value never changes simulated results — only how often the
-    host-level loop runs.
+    forced back through the scheduler loop.  [0] disables both fast
+    paths (the inline re-pick too), reproducing the historical
+    suspend-per-step execution.  The value never changes simulated
+    results — only how often the host-level loop runs.
 
     [quantum] (default [true]) lets the scheduler grant batched
     execution quanta to the device layer (see {!quantum_handle});
@@ -153,10 +170,10 @@ val current_id : t -> int
     raises. *)
 
 val set_tracer : t -> Obs.Tracer.t option -> unit
-(** Attach an event tracer: the run loop emits one
+(** Attach an event tracer before {!run}: the run loop emits one
     {!Obs.Event.ctx_switch} each time the CPU passes to a different
-    thread (the uncontended fast path never switches and emits
-    nothing).  Reads no RNG and charges no cycles. *)
+    thread (the fast paths never switch and emit nothing).  Reads no
+    RNG and charges no cycles. *)
 
 val elapsed_cycles : t -> int
 (** Simulated duration so far: the maximum per-thread virtual clock. *)

@@ -68,6 +68,13 @@ let check_raises_corrupt name f =
   | _ -> Alcotest.failf "%s: expected Heap.Corrupt" name
   | exception Heap.Corrupt _ -> ()
 
+(* Walk every heap block of an image the test expects to be intact;
+   an unparseable header fails the test. *)
+let walk_blocks heap f =
+  match Heap.fold_blocks_checked heap f with
+  | Ok () -> ()
+  | Error (at, msg) -> Alcotest.failf "heap block at %d: %s" at msg
+
 let int64 = Alcotest.int64
 
 let case name f = Alcotest.test_case name `Quick f

@@ -91,6 +91,104 @@ let test_fast_path_invisible_under_crash () =
     "post-crash durable image identical" true
     (String.equal (crashed ~slice:Scheduler.default_slice) (crashed ~slice:0))
 
+(* Tie-heavy multi-thread runs for the inline re-pick: [threads] threads
+   issue identical load/store streams (with [cost_jitter] 0 their clocks
+   tie constantly, so the pick's reservoir draws run on nearly every
+   switch), optionally through one contended mutex, whose hand-offs
+   invalidate the re-pick horizon.  Returns every observable, including
+   the per-op interleaving as the executing thread id of each device op
+   in execution order. *)
+let tie_run ?crash_at_step ~seed ~threads ~jitter ~contended ~slice () =
+  let pmem = desktop_pmem ~region_mib:1 () in
+  let sched =
+    Scheduler.create ~seed ~cost_jitter:jitter ~deterministic_slice:slice ()
+  in
+  let m = Mutex.create sched in
+  let order = Buffer.create 4096 in
+  let op f =
+    f ();
+    Buffer.add_char order (Char.chr (Char.code 'a' + Scheduler.self sched))
+  in
+  let body tid () =
+    for i = 0 to 149 do
+      let own = (tid * 4096) + ((i * 64) land 0xFFF) in
+      op (fun () -> Pmem.store_int pmem own i);
+      if contended && i land 3 = 0 then begin
+        Mutex.lock m;
+        op (fun () -> Pmem.store_int pmem 0x8000 i);
+        op (fun () -> ignore (Pmem.load_int pmem 0x8000 : int));
+        Mutex.unlock m
+      end;
+      op (fun () -> ignore (Pmem.load_int pmem own : int));
+      if i land 15 = 0 then
+        op (fun () ->
+            Pmem.flush pmem own;
+            Pmem.fence pmem)
+    done
+  in
+  for tid = 0 to threads - 1 do
+    ignore (Scheduler.spawn sched (body tid) : int)
+  done;
+  Pmem.set_step_hook pmem (fun ~cost -> Scheduler.step sched ~cost);
+  let outcome = Scheduler.run ?crash_at_step sched in
+  Pmem.clear_step_hook pmem;
+  (match (outcome, crash_at_step) with
+  | Scheduler.Completed, None -> ()
+  | Scheduler.Crashed { at_step }, Some c ->
+      Alcotest.(check int) "crash step" c at_step;
+      Pmem.crash pmem Pmem.Rescue
+  | _ -> Alcotest.fail "unexpected scheduler outcome");
+  ( Buffer.contents order,
+    List.init threads (Scheduler.thread_cycles sched),
+    Scheduler.total_steps sched,
+    Pmem.stats pmem,
+    Pmem.durable_snapshot pmem )
+
+let check_tie_run ?crash_at_step ~threads ~jitter ~contended () =
+  let label =
+    Printf.sprintf "%d threads, jitter %d, %s%s" threads jitter
+      (if contended then "contended" else "uncontended")
+      (match crash_at_step with
+      | Some c -> Printf.sprintf ", crash at %d" c
+      | None -> "")
+  in
+  let run slice =
+    tie_run ?crash_at_step ~seed:5 ~threads ~jitter ~contended ~slice ()
+  in
+  let order_ref, cycles_ref, steps_ref, stats_ref, durable_ref = run 0 in
+  let order, cycles, steps, stats, durable = run Scheduler.default_slice in
+  Alcotest.(check string) (label ^ ": interleaving") order_ref order;
+  Alcotest.(check (list int)) (label ^ ": thread cycles") cycles_ref cycles;
+  Alcotest.(check int) (label ^ ": total steps") steps_ref steps;
+  Alcotest.(check bool) (label ^ ": device stats") true (stats = stats_ref);
+  Alcotest.(check bool)
+    (label ^ ": durable image") true
+    (String.equal durable_ref durable)
+
+let test_repick_matches_reference () =
+  List.iter
+    (fun threads ->
+      List.iter
+        (fun jitter ->
+          List.iter
+            (fun contended -> check_tie_run ~threads ~jitter ~contended ())
+            [ false; true ])
+        [ 0; 3 ])
+    [ 4; 8 ];
+  check_tie_run ~crash_at_step:800 ~threads:4 ~jitter:0 ~contended:true ();
+  (* With no jitter the only randomness is the pick's tie draws: if two
+     seeds interleave alike, the runs above never exercised them. *)
+  let order seed =
+    let o, _, _, _, _ =
+      tie_run ~seed ~threads:4 ~jitter:0 ~contended:true
+        ~slice:Scheduler.default_slice ()
+    in
+    o
+  in
+  Alcotest.(check bool)
+    "jitter 0: tie draws change the interleaving across seeds" false
+    (String.equal (order 5) (order 6))
+
 let test_sweep_jobs_invariant () =
   let sweep jobs =
     Sweeps.flush_latency ~iterations:40 ~latencies:[ 100; 400 ] ~jobs ()
@@ -158,6 +256,8 @@ let suite =
       case "scheduler fast path is observationally invisible"
         test_fast_path_invisible;
       case "fast path invisible across a crash" test_fast_path_invisible_under_crash;
+      case "inline re-pick matches suspend-per-step on tie-heavy runs"
+        test_repick_matches_reference;
       case "sweep results independent of --jobs" test_sweep_jobs_invariant;
       case "table1 results independent of --jobs" test_table1_jobs_invariant;
       slow_case "exhaustive fault campaigns independent of --jobs"

@@ -128,6 +128,49 @@ let test_zero_alloc_loop () =
     true
     (words < 100.)
 
+(* A raw load/store loop from four threads under the real scheduler,
+   wired as [Workload.Machine] wires it, so every step is a scheduling
+   decision among several runnable threads.  Thread 0 only hits the
+   cache while the others flush every iteration, so thread 0 is
+   re-picked inline for a run of steps after each of their flushes:
+   about 60% of the steps are re-picks and the rest real context
+   switches, close to the mix of an exhaustive crash campaign.  With a
+   fiber round trip, an effect payload, a handler closure and an option
+   per step this loop allocated 29.7 minor words per step; it allocates
+   0.81 now, the continuation of each real switch.  The bound leaves
+   headroom yet fails if two words per step come back on either road. *)
+let multi_thread_words_per_step = 1.5
+
+let test_multi_thread_step_alloc () =
+  let p = desktop_pmem ~region_mib:1 () in
+  let sched = Scheduler.create ~seed:3 () in
+  for tid = 0 to 3 do
+    ignore
+      (Scheduler.spawn sched (fun () ->
+           for i = 0 to if tid = 0 then 15_999 else 1_999 do
+             let addr = (tid * 8192) + ((i * 8) land 0x1FF8) in
+             Pmem.store_int p addr i;
+             ignore (Pmem.load_int p addr : int);
+             if tid > 0 then Pmem.flush p addr
+           done)
+        : int)
+  done;
+  Pmem.set_step_hook p (fun ~cost -> Scheduler.step sched ~cost);
+  Pmem.set_quantum p (Scheduler.quantum_handle sched);
+  let before = Gc.minor_words () in
+  (match Scheduler.run sched with
+  | Scheduler.Completed -> ()
+  | _ -> Alcotest.fail "expected completion");
+  let words = Gc.minor_words () -. before in
+  Pmem.clear_quantum p;
+  Pmem.clear_step_hook p;
+  let per_step = words /. float_of_int (Scheduler.total_steps sched) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f minor words per step (bound %.1f)" per_step
+       multi_thread_words_per_step)
+    true
+    (per_step <= multi_thread_words_per_step)
+
 (* One crash run on the default 64 MiB desktop region touches a few
    hundred lines.  Device set-up, the crash image and recovery must
    allocate in proportion to that, not to the region: under 1 MiB of
@@ -260,6 +303,8 @@ let suite =
       prop_soa_matches_reference;
       case "device int ops allocate nothing" test_zero_alloc_loop;
       case "int ops match int64 ops" test_int_ops_match_int64_ops;
+      case "multi-thread steps allocate almost nothing"
+        test_multi_thread_step_alloc;
       case "intset: add/mem/clear" test_intset_basics;
       case "intset: growth keeps members and order" test_intset_growth_and_order;
       prop_intset_matches_hashtbl;

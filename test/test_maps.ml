@@ -382,7 +382,7 @@ let test_skip_level_distribution () =
       done);
   (* Level of each node = words - 3; read via the object headers. *)
   let total = ref 0 and n = ref 0 and max_lv = ref 0 in
-  Heap.iter_blocks heap2 (fun ~addr:_ ~kind ~words ->
+  walk_blocks heap2 (fun ~addr:_ ~kind ~words ->
       if kind = Skiplist.node_kind && words - 3 < Skiplist.max_level sl then begin
         let lv = words - 3 in
         total := !total + lv;

@@ -195,13 +195,13 @@ let test_heap_debug_checks () =
       check_raises_corrupt "not an object" (fun () ->
           Heap.load_field heap (a + 800) 0))
 
-let test_heap_iter_blocks () =
+let test_heap_fold_blocks () =
   let _, heap = small_heap () in
   let a = Heap.alloc heap ~kind:Kind.raw ~words:2 in
   let b = Heap.alloc heap ~kind:pair_kind ~words:3 in
   Heap.free heap a;
   let seen = ref [] in
-  Heap.iter_blocks heap (fun ~addr ~kind ~words ->
+  walk_blocks heap (fun ~addr ~kind ~words ->
       seen := (addr, kind, words) :: !seen);
   Alcotest.(check (list (triple int int int)))
     "all blocks in address order"
@@ -313,8 +313,11 @@ let test_verify_detects_smashed_header () =
   (match Heap_gc.verify heap with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "verify accepted a smashed header");
-  check_raises_corrupt "iter_blocks also rejects" (fun () ->
-      Heap.iter_blocks heap (fun ~addr:_ ~kind:_ ~words:_ -> ()))
+  match Heap.fold_blocks_checked heap (fun ~addr:_ ~kind:_ ~words:_ -> ()) with
+  | Error (at, _) ->
+      Alcotest.(check int) "fold_blocks_checked stops at the smashed header"
+        (Layout.obj_header_addr a) at
+  | Ok () -> Alcotest.fail "fold_blocks_checked accepted a smashed header"
 
 let test_verify_detects_wild_pointer () =
   let _, heap = small_heap () in
@@ -348,7 +351,7 @@ let prop_blocks_tile_heap =
       List.iteri (fun i a -> if i mod 2 = 0 then Heap.free heap a) addrs;
       let covered = ref (Heap.start_addr heap) in
       let ok = ref true in
-      Heap.iter_blocks heap (fun ~addr ~kind:_ ~words ->
+      walk_blocks heap (fun ~addr ~kind:_ ~words ->
           if addr <> !covered + 8 then ok := false;
           covered := addr + (8 * words));
       !ok && !covered = Heap.end_addr heap)
@@ -406,7 +409,7 @@ let suite =
       case "heap: double free rejected" test_heap_double_free;
       case "heap: field access and CAS" test_heap_fields;
       case "heap: debug checks" test_heap_debug_checks;
-      case "heap: iter_blocks" test_heap_iter_blocks;
+      case "heap: fold_blocks_checked" test_heap_fold_blocks;
       case "heap: fresh root is null" test_heap_root_defaults_null;
       case "gc: reclaims garbage and coalesces" test_gc_reclaims_garbage;
       case "gc: preserves reachable chain" test_gc_preserves_reachable_chain;

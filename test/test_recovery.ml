@@ -57,7 +57,7 @@ let test_incremental_crash_idempotent () =
   ignore (Heap_gc.Incremental.advance inc_a ~budget:2_000 : int);
   ignore (Heap_gc.Incremental.on_demand inc_a : int);
   let n = ref 0 in
-  Heap.iter_blocks heap_a (fun ~addr ~kind:_ ~words:_ ->
+  Helpers.walk_blocks heap_a (fun ~addr ~kind:_ ~words:_ ->
       if !n < 16 then (
         incr n;
         ignore (Heap_gc.Incremental.touch inc_a ~addr : int)));
@@ -88,7 +88,7 @@ let test_on_demand_full_touch () =
   let inc = Option.get rb.Machine.gc_pending in
   let heap_b = Option.get rb.Machine.heap in
   let touched = ref 0 in
-  Heap.iter_blocks heap_b (fun ~addr ~kind:_ ~words:_ ->
+  Helpers.walk_blocks heap_b (fun ~addr ~kind:_ ~words:_ ->
       if Heap_gc.Incremental.touch inc ~addr > 0 then incr touched);
   Alcotest.(check bool) "some objects recovered on demand" true (!touched > 0);
   ignore
